@@ -1,7 +1,8 @@
 //! Simulator throughput baseline: measures the round-loop hot path on
-//! three workloads, compares against the recorded pre-overhaul seed
-//! numbers, and maintains the machine-readable `BENCH_sim.json`
-//! baseline the CI smoke guards against regressions.
+//! two single-thread workloads plus the end-to-end spec grid, compares
+//! against the recorded pre-overhaul seed numbers, and maintains the
+//! machine-readable `BENCH_sim.json` baseline the CI smoke guards
+//! against regressions.
 //!
 //! Modes:
 //!
@@ -33,12 +34,11 @@
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
 use consistency_bench::experiment;
-use nakamoto_sim::adversary::{BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary};
+use nakamoto_sim::adversary::{ImmediateReleaseAdversary, PrivateChainAdversary};
 use nakamoto_sim::config::SimConfig;
 use nakamoto_sim::execution::run_simulation_with;
 use nakamoto_sim::montecarlo::TrialPlan;
 use nakamoto_sim::spec::ExperimentSpec;
-use probability::rng::{RandomSource, SplitMix64};
 use std::time::Instant;
 
 /// The committed golden spec the end-to-end grid row runs.
@@ -50,7 +50,6 @@ const GRID_SPEC: &str = include_str!("../../../../examples/specs/attack_sweep.to
 /// still shows the before/after story.
 const SEED_PRIVATE_C3_RPS: f64 = 10_261_647.0;
 const SEED_IMMEDIATE_N1000_RPS: f64 = 17_542_993.0;
-const SEED_SWEEP_WALL_SECS: f64 = 0.942;
 
 /// Fraction of the committed check throughput below which `--check`
 /// fails (i.e. a >25% regression). Scalar and batch rows share the
@@ -118,29 +117,6 @@ fn immediate_n1000_batch(rounds_per_lane: u64) -> f64 {
     dt
 }
 
-/// The attack-sweep grid (27 cells × 2 adversaries, 8.1M total rounds,
-/// the workload of the seed's `attack_sweep` binary) on the parallel
-/// trial engine. Returns (wall seconds, total rounds).
-fn attack_sweep_grid(threads: usize) -> (f64, u64) {
-    let mut cell_seeds = SplitMix64::new(0x000B_EAC4);
-    let t = Instant::now();
-    let mut total = 0u64;
-    for &c in &[0.5f64, 1.0, 2.0] {
-        for &nu in &[0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45] {
-            let mk = |seed: u64| {
-                TrialPlan::new(SimConfig::from_c(100, 4, c, nu, seed).unwrap(), 30_000, 5)
-                    .unwrap()
-                    .thresholds(vec![12])
-                    .with_threads(threads)
-            };
-            let p = mk(cell_seeds.next_u64()).run(|_| PrivateChainAdversary::new(4));
-            let b = mk(cell_seeds.next_u64()).run(|_| BalanceAdversary::new(4));
-            total += p.aggregate.total_rounds() + b.aggregate.total_rounds();
-        }
-    }
-    (t.elapsed().as_secs_f64(), total)
-}
-
 /// The end-to-end grid workload: the committed `attack_sweep.toml`
 /// golden spec through `experiment::run_spec` at the given per-trial
 /// budget — spec expansion, the analytic overlay, and every cell
@@ -189,8 +165,6 @@ struct Baseline {
     private_batch_rps: f64,
     immediate_rps: f64,
     immediate_batch_rps: f64,
-    sweep_walls: Vec<(usize, f64)>,
-    sweep_rounds: u64,
     grid_wall: f64,
     grid_cells: usize,
     grid_rounds: u64,
@@ -209,18 +183,6 @@ fn measure() -> Baseline {
     let immediate_rps = ROUNDS as f64 / best_of(3, || immediate_n1000(ROUNDS));
     let immediate_batch_rps =
         ROUNDS as f64 / best_of(3, || immediate_n1000_batch(ROUNDS / BATCH_WIDTH));
-    let mut sweep_rounds = 0;
-    let sweep_walls = [1usize, 2, 8]
-        .into_iter()
-        .map(|threads| {
-            let wall = best_of(2, || {
-                let (w, r) = attack_sweep_grid(threads);
-                sweep_rounds = r;
-                w
-            });
-            (threads, wall)
-        })
-        .collect();
     let mut grid_cells = 0;
     let mut grid_rounds = 0;
     let grid_wall = best_of(2, || {
@@ -237,8 +199,6 @@ fn measure() -> Baseline {
         private_batch_rps,
         immediate_rps,
         immediate_batch_rps,
-        sweep_walls,
-        sweep_rounds,
         grid_wall,
         grid_cells,
         grid_rounds,
@@ -283,15 +243,6 @@ fn print_table(b: &Baseline) {
         SEED_IMMEDIATE_N1000_RPS,
         b.immediate_batch_rps / SEED_IMMEDIATE_N1000_RPS
     );
-    for &(threads, wall) in &b.sweep_walls {
-        println!(
-            "{:<28} {:>15.3}s {:>15.3}s {:>8.1}x",
-            format!("attack_sweep ({threads} threads)"),
-            wall,
-            SEED_SWEEP_WALL_SECS,
-            SEED_SWEEP_WALL_SECS / wall
-        );
-    }
     println!(
         "{:<28} {:>15.3}s {:>16.0} {:>9}",
         format!("spec grid ({} cells, e2e)", b.grid_cells),
@@ -314,18 +265,6 @@ fn print_table(b: &Baseline) {
 }
 
 fn to_json(b: &Baseline) -> String {
-    let sweep: Vec<String> = b
-        .sweep_walls
-        .iter()
-        .map(|(threads, wall)| {
-            format!(
-                "    {{ \"threads\": {threads}, \"wall_secs\": {wall:.4}, \
-                 \"total_rounds\": {}, \"speedup_vs_seed\": {:.2} }}",
-                b.sweep_rounds,
-                SEED_SWEEP_WALL_SECS / wall
-            )
-        })
-        .collect();
     format!(
         "{{\n  \"schema\": \"bench_sim/v3\",\n  \"regenerate\": \"cargo run --release -p \
          consistency_bench --bin bench_sim -- --write BENCH_sim.json\",\n  \"host_cpus\": {},\n  \
@@ -333,15 +272,14 @@ fn to_json(b: &Baseline) -> String {
          \"seed_baseline\": {{\n    \"description\": \"pre-overhaul engine: boxed dispatch, \
          per-round sampling, unbounded arena (commit 3627bf5, same container)\",\n    \
          \"private_chain_c3_rounds_per_sec\": {:.0},\n    \
-         \"immediate_n1000_rounds_per_sec\": {:.0},\n    \"attack_sweep_wall_secs\": {:.3}\n  \
-         }},\n  \"private_chain_c3_rounds_per_sec\": {:.0},\n  \
+         \"immediate_n1000_rounds_per_sec\": {:.0}\n  }},\n  \"private_chain_c3_rounds_per_sec\": {:.0},\n  \
          \"private_chain_c3_speedup_vs_seed\": {:.2},\n  \
          \"private_chain_c3_batch_rounds_per_sec\": {:.0},\n  \
          \"private_chain_c3_batch_vs_scalar\": {:.2},\n  \
          \"immediate_n1000_rounds_per_sec\": {:.0},\n  \
          \"immediate_n1000_speedup_vs_seed\": {:.2},\n  \
          \"immediate_n1000_batch_rounds_per_sec\": {:.0},\n  \
-         \"immediate_n1000_batch_vs_scalar\": {:.2},\n  \"attack_sweep\": [\n{}\n  ],\n  \
+         \"immediate_n1000_batch_vs_scalar\": {:.2},\n  \
          \"grid_attack_sweep\": {{\n    \"spec\": \"examples/specs/attack_sweep.toml\",\n    \
          \"cells\": {},\n    \"wall_secs\": {:.4},\n    \"total_rounds\": {},\n    \
          \"rounds_per_sec\": {:.0}\n  }},\n  \
@@ -351,7 +289,6 @@ fn to_json(b: &Baseline) -> String {
         b.cpus,
         SEED_PRIVATE_C3_RPS,
         SEED_IMMEDIATE_N1000_RPS,
-        SEED_SWEEP_WALL_SECS,
         b.private_rps,
         b.private_rps / SEED_PRIVATE_C3_RPS,
         b.private_batch_rps,
@@ -360,7 +297,6 @@ fn to_json(b: &Baseline) -> String {
         b.immediate_rps / SEED_IMMEDIATE_N1000_RPS,
         b.immediate_batch_rps,
         b.immediate_batch_rps / b.immediate_rps,
-        sweep.join(",\n"),
         b.grid_cells,
         b.grid_wall,
         b.grid_rounds,

@@ -6,10 +6,10 @@
 //! ([`consistency_core::analytic`]) — as a human table and as
 //! machine-readable JSON.
 //!
-//! This module is the common plumbing behind the unified `experiment`
-//! binary and the ported `attack_sweep` / `scenario_sweep` /
-//! `compose_sweep` harnesses; the binaries only differ in how they
-//! pivot the flat cell list for display.
+//! This module is the plumbing behind the `experiment` binary, which
+//! runs every committed spec — including the `attack_sweep`,
+//! `scenario_sweep` and `compose_sweep` grids — and prints one table
+//! row per cell.
 
 use consistency_core::analytic::{self, AnalyticBounds, BoundComparison, BoundVerdict};
 use nakamoto_sim::exact::{ExactEstimate, ExactRun};

@@ -4,9 +4,11 @@
 //! experiment index and EXPERIMENTS.md for recorded outputs).
 //!
 //! * [`cli`] — the shared flag/positional parser every binary uses;
-//! * [`table`] — Wilson-CI cell formatting shared by the sweeps;
+//! * [`table`] — Wilson-CI cell formatting shared by the `experiment`
+//!   table and the `concentration` harness;
 //! * [`experiment`] — the spec-driven experiment runner behind the
-//!   unified `experiment` binary and the ported sweep harnesses.
+//!   `experiment` binary, the one runner for every committed spec
+//!   and sweep grid.
 
 pub mod cli;
 pub mod experiment;

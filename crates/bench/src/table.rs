@@ -1,10 +1,8 @@
 //! Shared table-cell formatting for the harness binaries.
 //!
-//! The Wilson-interval cell (`estimate [lo, hi]`) used to be
-//! re-implemented in `attack_sweep`, `scenario_sweep`, `compose_sweep`
-//! and `concentration` with drifting precision; these helpers are the
-//! single source of that formatting for both the pivot tables and the
-//! spec-driven `experiment` harness.
+//! These helpers are the single source of the Wilson-interval cell
+//! (`estimate [lo, hi]`) and the depth column, shared by the
+//! spec-driven `experiment` table and the `concentration` harness.
 
 use nakamoto_sim::montecarlo::{TrialAggregate, WilsonInterval};
 
@@ -32,7 +30,8 @@ pub fn failure_cell(aggregate: &TrialAggregate, t: u64, z: f64) -> String {
 }
 
 /// The deepest disturbance a cell observed: max of the worst reorg and
-/// the worst cross-group divergence (the `depth` column of the sweeps).
+/// the worst cross-group divergence (the `depth` column of the
+/// `experiment` table).
 #[must_use]
 pub fn depth_cell(aggregate: &TrialAggregate) -> u64 {
     aggregate

@@ -1,5 +1,6 @@
-//! Smoke tests: one per harness binary in `src/bin/`, exercising each
-//! binary's core entry functions on tiny parameters so a refactor that
+//! Smoke tests: one per harness binary in `src/bin/` (plus one per
+//! committed sweep grid that `experiment` runs), exercising each
+//! harness's core entry functions on tiny parameters so a refactor that
 //! breaks a harness code path fails `cargo test` instead of waiting to be
 //! caught by someone running the binary by hand.
 
@@ -56,8 +57,8 @@ fn remark1_entry() {
     assert!(bound > consistency_core::theorem2::neat_bound(0.25));
 }
 
-/// `attack_sweep`: ν_max solvers plus both attack adversaries on the
-/// multi-trial engine with a Wilson-interval failure rate.
+/// `attack_sweep.toml` grid: ν_max solvers plus both attack adversaries
+/// on the multi-trial engine with a Wilson-interval failure rate.
 #[test]
 fn attack_sweep_entry() {
     let nu_max = consistency_core::numax::nu_max_for_c(3.0).unwrap();
@@ -74,9 +75,9 @@ fn attack_sweep_entry() {
     assert!(wilson.lo <= wilson.estimate && wilson.estimate <= wilson.hi);
 }
 
-/// `scenario_sweep`: a three-phase scenario cell (power shift +
-/// strategy switch + eclipse window) on the scenario Monte-Carlo
-/// engine, with the Wilson-CI failure rate and thread-count
+/// `scenario_sweep.toml` grid: a three-phase scenario cell (power
+/// shift + strategy switch + eclipse window) on the scenario
+/// Monte-Carlo engine, with the Wilson-CI failure rate and thread-count
 /// determinism the phase diagram relies on.
 #[test]
 fn scenario_sweep_entry() {
@@ -110,9 +111,9 @@ fn scenario_sweep_entry() {
     );
 }
 
-/// `compose_sweep`: a composed-adversary cell on the multi-trial
-/// engine — pure-strategy edge rows must reproduce the bare adversary
-/// bit-for-bit, mixed rows must run and tally.
+/// `compose_sweep.toml` grid: a composed-adversary cell on the
+/// multi-trial engine — pure-strategy edge rows must reproduce the bare
+/// adversary bit-for-bit, mixed rows must run and tally.
 #[test]
 fn compose_sweep_entry() {
     use nakamoto_sim::compose::{ComposedAdversary, Composition, SubSpec};

@@ -1,8 +1,8 @@
 //! Bit-identity of the spec-driven sweep paths with the pre-spec
-//! hard-coded harness binaries: for a fixed seed, every cell of the
+//! hard-coded sweep loops: for a fixed seed, every cell of the
 //! committed `examples/specs/{attack,scenario,compose}_sweep.toml`
 //! grids must aggregate **bit-identically** to the loops the old
-//! binaries ran. The replicas below are verbatim ports of those loops
+//! sweep harnesses ran. The replicas below are verbatim ports of those loops
 //! (same per-cell SplitMix64 seed streams, same plan construction);
 //! the cell seeds don't depend on the budget, so parity at the tiny
 //! test budgets implies parity at the committed defaults.

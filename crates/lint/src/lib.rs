@@ -12,11 +12,10 @@
 //! time, before they can grow call sites.
 //!
 //! In the same in-tree-parser discipline as the `nakamoto_sim::spec`
-//! TOML codec and the vendored criterion shim, the scanner is a
-//! hand-rolled lexer ([`lexer`]) — no external crates, offline-safe —
-//! that understands strings, raw strings, char literals vs lifetimes,
-//! and nested block comments, so rule matching never confuses text
-//! with code.
+//! TOML codec, the scanner is a hand-rolled lexer ([`lexer`]) — no
+//! external crates, offline-safe — that understands strings, raw
+//! strings, char literals vs lifetimes, and nested block comments, so
+//! rule matching never confuses text with code.
 //!
 //! Rule families (full catalogue and rationale in `docs/LINTING.md`):
 //!
@@ -107,7 +106,6 @@ impl Policy {
                 "crates/sim/src/lib.rs".into(),
                 "crates/core/src/lib.rs".into(),
                 "crates/bench/src/lib.rs".into(),
-                "crates/criterion/src/lib.rs".into(),
                 "crates/lint/src/lib.rs".into(),
             ],
             exclude_prefixes: vec![

@@ -54,9 +54,21 @@
 //! on the caller thread without touching — or even creating — the
 //! pool, so single-threaded runs keep their exact pre-executor
 //! performance profile.
+//!
+//! # Panics
+//!
+//! A unit that panics on a pool thread does not take its worker down:
+//! the slot loop catches the unwind, records the first payload in the
+//! job, stops handing out that job's remaining unit indices, and the
+//! join re-raises the payload with [`std::panic::resume_unwind`]. The
+//! caller therefore sees the same panic an inline run (or a scoped
+//! thread join) would give it, and the pool keeps its full width for
+//! the next job.
 
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
@@ -106,6 +118,10 @@ struct Stats {
     steals: AtomicU64,
 }
 
+/// Lock `m`, recovering the data if the lock is poisoned. No unit of
+/// work ever runs while one of these locks is held, and a panicking
+/// unit is caught in its slot and re-raised at the join, so a poisoned
+/// lock cannot hide a failure: the panic still reaches the caller.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -248,8 +264,15 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
 struct JobCore<T> {
     next: AtomicU64,
     total: u64,
-    results: Mutex<Vec<(u64, T)>>,
+    finished: Mutex<Finished<T>>,
     done: Condvar,
+}
+
+/// What slots have handed to the joiner and it has not yet drained.
+struct Finished<T> {
+    results: Vec<(u64, T)>,
+    /// The first panic payload raised by a unit of this job.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// A work-stealing pool. Most code wants the process-wide [`global()`]
@@ -336,6 +359,11 @@ impl Executor {
     /// the returned `Vec` is always in unit order. Jobs with an
     /// effective width of one run inline on the caller without
     /// touching the pool.
+    ///
+    /// # Panics
+    ///
+    /// If a unit panics, the job stops handing out units and this
+    /// call re-raises the first unit's panic payload.
     pub fn run_ordered_with<T, F, C>(
         &self,
         total: u64,
@@ -369,7 +397,10 @@ impl Executor {
         let core = Arc::new(JobCore {
             next: AtomicU64::new(0),
             total,
-            results: Mutex::new(Vec::new()),
+            finished: Mutex::new(Finished {
+                results: Vec::new(),
+                panic: None,
+            }),
             done: Condvar::new(),
         });
         let runner = Arc::new(run_unit);
@@ -381,28 +412,40 @@ impl Executor {
                 // Each slot pulls unit indices until the job is
                 // exhausted — the same pull loop the scoped fan-outs
                 // used, so work distribution semantics are unchanged.
+                // A panicking unit ends the job: its payload is kept
+                // for the joiner and no further indices are handed out.
                 run: Box::new(move || loop {
                     let i = core.next.fetch_add(1, Ordering::Relaxed);
                     if i >= core.total {
                         break;
                     }
-                    let result = runner(i);
-                    let mut results = lock(&core.results);
-                    results.push((i, result));
+                    let outcome = catch_unwind(AssertUnwindSafe(|| runner(i)));
+                    let mut finished = lock(&core.finished);
+                    match outcome {
+                        Ok(result) => finished.results.push((i, result)),
+                        Err(payload) => {
+                            finished.panic.get_or_insert(payload);
+                            core.next.store(core.total, Ordering::Relaxed);
+                        }
+                    }
                     core.done.notify_all();
                 }),
             });
         }
         // Join: drain finished units, help-execute queued tasks while
         // any remain, park briefly otherwise. Helping is what makes a
-        // narrow pool deadlock-free (see module docs).
+        // narrow pool deadlock-free (see module docs). A unit's panic
+        // is re-raised here, on the caller.
         let allow_composite = kind == TaskKind::Composite;
         let mut out: Vec<Option<T>> = (0..total).map(|_| None).collect();
         let mut collected: u64 = 0;
         while collected < total {
             let drained: Vec<(u64, T)> = {
-                let mut results = lock(&core.results);
-                std::mem::take(&mut *results)
+                let mut finished = lock(&core.finished);
+                if let Some(payload) = finished.panic.take() {
+                    resume_unwind(payload);
+                }
+                std::mem::take(&mut finished.results)
             };
             if !drained.is_empty() {
                 for (i, result) in drained {
@@ -416,11 +459,11 @@ impl Executor {
                 self.shared.run_task(task);
                 continue;
             }
-            let results = lock(&core.results);
-            if results.is_empty() {
+            let finished = lock(&core.finished);
+            if finished.results.is_empty() && finished.panic.is_none() {
                 let _ = core
                     .done
-                    .wait_timeout(results, Duration::from_millis(1))
+                    .wait_timeout(finished, Duration::from_millis(1))
                     .unwrap_or_else(PoisonError::into_inner);
             }
         }
@@ -651,6 +694,69 @@ mod tests {
         });
         assert_eq!(got, (0..100).collect::<Vec<u64>>());
         assert_eq!(claims.load(Ordering::Relaxed), 100);
+    }
+
+    fn on_pool_worker() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with("sim-exec-"))
+    }
+
+    /// Join a 16-unit, width-2 job on `pool` from a helper thread and
+    /// return the join's outcome and whether a pool worker ran a unit,
+    /// or `None` if the join did not finish within the timeout. Units
+    /// that land on the helper itself wait (bounded) until a worker
+    /// has taken one, so at least one unit runs on a worker.
+    fn join_from_helper(
+        pool: &Arc<Executor>,
+        panic_on_worker: bool,
+    ) -> Option<(std::thread::Result<Vec<u64>>, bool)> {
+        let pool = Arc::clone(pool);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let worker_ran = Arc::new(AtomicBool::new(false));
+            let flag = Arc::clone(&worker_ran);
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_ordered(16, 2, TaskKind::Leaf, move |i| {
+                    if on_pool_worker() {
+                        flag.store(true, Ordering::SeqCst);
+                        if panic_on_worker {
+                            panic!("unit failed on a pool worker");
+                        }
+                    } else {
+                        for _ in 0..5_000 {
+                            if flag.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    i
+                })
+            }));
+            let _ = tx.send((outcome, worker_ran.load(Ordering::SeqCst)));
+        });
+        rx.recv_timeout(Duration::from_secs(30)).ok()
+    }
+
+    /// A unit panicking on a pool worker must reach the joiner as the
+    /// same panic, not hang the join, and must not cost the pool a
+    /// worker.
+    #[test]
+    fn worker_panic_reaches_the_joiner_and_the_pool_survives() {
+        let pool = Arc::new(Executor::new(2));
+        let (outcome, _) = join_from_helper(&pool, true)
+            .expect("the join hung instead of re-raising the worker's panic");
+        let payload = outcome.expect_err("the worker's panic must re-raise at the join");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"unit failed on a pool worker")
+        );
+        let (outcome, worker_ran) = join_from_helper(&pool, false).expect("the follow-up job hung");
+        let got = outcome.expect("the follow-up job must not panic");
+        assert_eq!(got, (0..16).collect::<Vec<u64>>());
+        assert!(worker_ran, "a pool worker must still be taking units");
+        assert_eq!(pool.stats().threads_spawned, 2);
     }
 
     #[test]
