@@ -20,16 +20,54 @@
 //! aggregates are bit-identical at every width), `--jobs` fixes the
 //! process-wide executor pool width (cells complete in any order, but
 //! the table, totals, and JSON are byte-identical at every job count),
-//! `--verbose` streams per-cell completions and the executor's
-//! counters to stderr, `--out` writes JSON. Budgets and expected
-//! runtimes: see EXPERIMENTS.md.
+//! `--verbose` streams per-cell completions (with each cell's own
+//! elapsed time) and the executor's counters to stderr, `--out` writes
+//! JSON. The closing `N simulated rounds in X s` line reports the
+//! run's wall time, not the sum of concurrently running cells.
+//! Budgets and expected runtimes: see EXPERIMENTS.md.
+//!
+//! Output piped into a reader that hangs up early (`experiment spec.toml
+//! | head`) is cut off quietly: the run still finishes, writes `--out`
+//! and exits 0.
 
 use consistency_bench::{cli, experiment};
 use nakamoto_sim::executor;
 use nakamoto_sim::spec::ExperimentSpec;
+use std::io::{self, Write};
+use std::time::Instant;
 
 const USAGE: &str = "experiment <spec.toml> [--rounds N] [--trials N] [--threads N] [--jobs N] \
                      [--seed S] [--batch W] [--out PATH] [--verbose]";
+
+/// Standard output that goes quiet once the reader hangs up: the first
+/// `BrokenPipe` turns every later write into a no-op instead of a
+/// failure. Other write errors still propagate.
+#[derive(Default)]
+struct QuietStdout {
+    closed: bool,
+}
+
+impl Write for QuietStdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if !self.closed {
+            match io::stdout().write(buf) {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                other => return other,
+            }
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.closed {
+            match io::stdout().flush() {
+                Err(e) if e.kind() == io::ErrorKind::BrokenPipe => self.closed = true,
+                other => return other,
+            }
+        }
+        Ok(())
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args = cli::Args::parse(
@@ -71,34 +109,41 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
     let shape = spec.sweep_shape();
     let cells: usize = shape.iter().product::<usize>().max(1);
-    consistency_bench::section(&format!(
+    let mut out = QuietStdout::default();
+    let title = format!(
         "Experiment `{name}`: {cells} cell(s), {} trial(s) per cell",
         spec.run.trials
-    ));
+    );
+    writeln!(out, "\n{title}\n{}", "=".repeat(title.len()))?;
     if let Some(fuzz) = &spec.fuzz {
-        println!(
+        writeln!(
+            out,
             "fuzz repro: master_seed = {}, case = {}, invariant = `{}`",
             fuzz.master_seed, fuzz.case, fuzz.invariant
-        );
+        )?;
     }
 
     let verbose = args.verbose;
     let jobs = args.jobs.unwrap_or(0);
+    let started = Instant::now();
     let results = experiment::run_spec_streaming(&spec, jobs, |index, cell| {
         if verbose {
             // Completion order, to stderr: the stdout table and JSON
             // stay byte-identical with and without --verbose.
             eprintln!(
-                "cell {}/{cells} done: [{}]",
+                "cell {}/{cells} done in {:.1} ms: [{}]",
                 index + 1,
+                cell.estimate.elapsed_secs() * 1e3,
                 cell.labels.join(", ")
             );
         }
     })?;
-    experiment::print_table(&results);
+    // Cells run concurrently, so the run's wall time is measured here
+    // rather than summed from the cells.
+    let elapsed = started.elapsed().as_secs_f64();
+    experiment::print_table(&mut out, &results)?;
     let rounds: u64 = results.iter().map(|r| r.estimate.simulated_rounds()).sum();
-    let elapsed: f64 = results.iter().map(|r| r.estimate.elapsed_secs()).sum();
-    println!("\n{rounds} simulated rounds in {elapsed:.2} s");
+    writeln!(out, "\n{rounds} simulated rounds in {elapsed:.2} s")?;
     if verbose {
         let stats = executor::global_stats();
         eprintln!(
@@ -114,10 +159,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if let Some(out) = &args.out {
-        std::fs::write(out, experiment::to_json(&name, &results))
-            .map_err(|e| format!("{out}: {e}"))?;
-        println!("wrote {out}");
+    if let Some(out_path) = &args.out {
+        std::fs::write(out_path, experiment::to_json(&name, &results))
+            .map_err(|e| format!("{out_path}: {e}"))?;
+        writeln!(out, "wrote {out_path}")?;
     }
     Ok(())
 }

@@ -17,6 +17,7 @@ use nakamoto_sim::executor::{self, TaskKind};
 use nakamoto_sim::montecarlo::MonteCarloRun;
 use nakamoto_sim::spec::{Estimate, ExperimentCell, ExperimentMode, ExperimentSpec, SpecError};
 use nakamoto_sim::splitting::SplittingRun;
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// One executed cell: its sweep labels, the concrete spec it ran, the
@@ -246,15 +247,19 @@ pub fn apply_budget(
     }
 }
 
-/// Prints the flat cell table: one row per cell with the depth (for
-/// sampled cells), every threshold's estimate in the cell's backend —
-/// a Wilson 95% CI, a splitting estimate with its relative error, or
-/// the exact probability with its additive truncation bound — and the
-/// theorem-1 margin / consistency verdict columns of the analytic
-/// overlay. Splitting and exact cells get an extra `vs race bound`
-/// column holding the verdict against the race-analysis failure scale
-/// at the largest threshold.
-pub fn print_table(results: &[CellResult]) {
+/// Writes the flat cell table to `out`: one row per cell with the
+/// depth (for sampled cells), every threshold's estimate in the cell's
+/// backend — a Wilson 95% CI, a splitting estimate with its relative
+/// error, or the exact probability with its additive truncation
+/// bound — and the theorem-1 margin / consistency verdict columns of
+/// the analytic overlay. Splitting and exact cells get an extra
+/// `vs race bound` column holding the verdict against the
+/// race-analysis failure scale at the largest threshold.
+///
+/// # Errors
+///
+/// Returns the first write error from `out`.
+pub fn print_table(out: &mut impl Write, results: &[CellResult]) -> io::Result<()> {
     let thresholds: Vec<u64> = results
         .first()
         .map(|r| r.spec.run.thresholds.clone())
@@ -268,35 +273,37 @@ pub fn print_table(results: &[CellResult]) {
         .chain(std::iter::once(4))
         .max()
         .unwrap_or(4);
-    print!("{:<label_width$} {:>6}", "cell", "depth");
+    write!(out, "{:<label_width$} {:>6}", "cell", "depth")?;
     for t in &thresholds {
-        print!(" {:>23}", format!("P[¬{t}-cons]"));
+        write!(out, " {:>23}", format!("P[¬{t}-cons]"))?;
     }
     if has_race_column {
-        print!(" {:>14}", "vs race bound");
+        write!(out, " {:>14}", "vs race bound")?;
     }
-    println!(" {:>13} {:>10}", "thm1 margin", "consistent");
+    writeln!(out, " {:>13} {:>10}", "thm1 margin", "consistent")?;
     for result in results {
         let depth = result.wilson().map_or_else(
             || "—".into(),
             |run| crate::table::depth_cell(&run.aggregate).to_string(),
         );
-        print!("{:<label_width$} {:>6}", cell_name(result), depth);
+        write!(out, "{:<label_width$} {:>6}", cell_name(result), depth)?;
         for t in &thresholds {
-            print!(" {:>23}", threshold_cell(result, *t));
+            write!(out, " {:>23}", threshold_cell(result, *t))?;
         }
         if has_race_column {
-            print!(" {:>14}", race_verdict_cell(result, &thresholds));
+            write!(out, " {:>14}", race_verdict_cell(result, &thresholds))?;
         }
         match &result.analytic {
-            Some(bounds) => println!(
+            Some(bounds) => writeln!(
+                out,
                 " {:>13.3} {:>10}",
                 bounds.theorem1_ln_margin,
                 if bounds.consistent() { "yes" } else { "no" }
-            ),
-            None => println!(" {:>13} {:>10}", "—", "ν=0"),
+            )?,
+            None => writeln!(out, " {:>13} {:>10}", "—", "ν=0")?,
         }
     }
+    Ok(())
 }
 
 /// One threshold's estimate as a table cell, in the backend the cell
@@ -812,7 +819,7 @@ mod tests {
         assert_eq!(cell.rounds_per_trial, 500);
         let bounds = cell.analytic.as_ref().expect("ν > 0 carries bounds");
         assert!(bounds.theorem1_ln_margin.is_finite());
-        print_table(&results); // must not panic
+        print_table(&mut io::sink(), &results).unwrap(); // must not panic
     }
 
     #[test]
@@ -1015,7 +1022,7 @@ mod tests {
         let json = to_json("baseline", &results);
         assert!(json.contains("\"analytic\": null"));
         assert!(json_is_well_formed(&json), "{json}");
-        print_table(&results);
+        print_table(&mut io::sink(), &results).unwrap();
     }
 
     const SPLITTING_SPEC: &str = r#"
@@ -1052,7 +1059,7 @@ mod tests {
         assert!(json.contains("\"montecarlo\": null"));
         assert!(json.contains("\"race_verdict\""));
         assert!(json.contains("\"race_bound\""));
-        print_table(&results); // must not panic
+        print_table(&mut io::sink(), &results).unwrap(); // must not panic
     }
 
     #[test]
@@ -1106,7 +1113,7 @@ mod tests {
         assert!(json.contains("\"montecarlo\": null"));
         assert!(json.contains("\"truncation_error\""));
         assert!(json.contains("\"race_verdict\": \"within-bound\""));
-        print_table(&results); // must not panic
+        print_table(&mut io::sink(), &results).unwrap(); // must not panic
     }
 
     /// `--trials` is the budget knob CI smokes with, so it must also

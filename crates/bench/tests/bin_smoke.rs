@@ -261,6 +261,42 @@ fn experiment_entry_runs_every_committed_spec() {
     }
 }
 
+/// `experiment <spec> | head`: a reader that hangs up after the first
+/// line must not crash the run. Stdout goes quiet, `--out` is still
+/// written, and the process exits 0.
+#[test]
+fn experiment_survives_a_reader_hanging_up() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    let spec = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/specs/theorem1_check.toml");
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("experiment-hangup.json");
+    let _ = std::fs::remove_file(&out);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_experiment"))
+        .arg(&spec)
+        .arg("--out")
+        .arg(&out)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("experiment starts");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .read_line(&mut first)
+        .expect("first line readable");
+    // The reader is dropped here, closing the pipe before the table is
+    // written.
+    let output = child.wait_with_output().expect("experiment exits");
+    assert!(
+        output.status.success(),
+        "experiment exited with {}; stderr:\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let json = std::fs::read_to_string(&out).expect("--out is written");
+    assert!(consistency_bench::experiment::json_is_well_formed(&json));
+}
+
 /// `bench_sim`: the throughput harness's workloads at tiny budgets —
 /// a statically dispatched single run plus a parallel trial fan-out.
 #[test]

@@ -678,6 +678,13 @@ impl<A: Adversary> Simulation<A> {
             return;
         }
         self.last_prune = self.round;
+        self.prune_to_live_root();
+    }
+
+    /// Prunes the tree and the trackers' chain storage below the live
+    /// root — the one prune routine, shared by the cadence
+    /// ([`Simulation::maybe_prune`]) and [`Simulation::compact`].
+    fn prune_to_live_root(&mut self) {
         // The finalized point: the common ancestor of everything that
         // can still influence the future — group tips, blocks in
         // flight, and blocks the adversary holds. Every future block
@@ -696,6 +703,29 @@ impl<A: Adversary> Simulation<A> {
             self.tree.prune_to(root);
             self.tracker.prune_below(self.tree.height(root));
         }
+    }
+
+    /// Shrinks the engine to its live fork window: prunes to the live
+    /// root now, off the cadence, and releases the spare capacity of
+    /// the tree arena, the tracker's chains, the network ring and the
+    /// round buffers. The splitting estimator compacts every entrance
+    /// state it stores, so a stored replica costs its fork window
+    /// rather than every block since the last cadence prune.
+    ///
+    /// Observably neutral for the reason every prune is (see
+    /// [`Simulation::set_prune_interval`]): nothing below the live root
+    /// can influence the future. `last_prune` is left alone, so the
+    /// cadence is unchanged; with pruning disabled only capacity is
+    /// released.
+    pub(crate) fn compact(&mut self) {
+        if self.prune_interval.is_some() {
+            self.prune_to_live_root();
+        }
+        self.tree.shrink_to_fit();
+        self.tracker.shrink_to_fit();
+        self.network.shrink_to_fit();
+        self.delivery_buf.shrink_to_fit();
+        self.release_buf.shrink_to_fit();
     }
 
     /// Produces the aggregated report for everything simulated so far.
@@ -1004,6 +1034,48 @@ mod tests {
         pruned.run(50_000);
         unpruned.run(50_000);
         assert_eq!(pruned.report(), unpruned.report());
+    }
+
+    #[test]
+    fn compaction_is_invisible_and_shrinks_the_tree() {
+        // 3,000 rounds is below DEFAULT_PRUNE_INTERVAL: no cadence prune
+        // has run, so the tree still holds the whole history.
+        fn check<A: Adversary + Clone>(mut sim: Simulation<A>) {
+            sim.run(3_000);
+            let mut compacted = sim.clone();
+            compacted.compact();
+            assert!(
+                compacted.tree().len() * 4 < sim.tree().len(),
+                "compacted {} vs full {}",
+                compacted.tree().len(),
+                sim.tree().len()
+            );
+            sim.run(20_000);
+            compacted.run(20_000);
+            assert_eq!(sim.report(), compacted.report());
+            assert_eq!(sim.consistency_depth(), compacted.consistency_depth());
+        }
+        check(Simulation::new(
+            SimConfig::from_c(100, 4, 1.0, 0.35, 1234).unwrap(),
+            PrivateChainAdversary::new(4),
+        ));
+        check(Simulation::new(
+            SimConfig::from_c(100, 4, 1.0, 0.4, 77).unwrap(),
+            BalanceAdversary::new(4),
+        ));
+    }
+
+    #[test]
+    fn compaction_keeps_the_tree_when_pruning_is_disabled() {
+        let mut sim = Simulation::new(
+            SimConfig::from_c(100, 4, 1.0, 0.35, 1234).unwrap(),
+            PrivateChainAdversary::new(4),
+        );
+        sim.set_prune_interval(None);
+        sim.run(3_000);
+        let len = sim.tree().len();
+        sim.compact();
+        assert_eq!(sim.tree().len(), len);
     }
 
     #[test]

@@ -172,6 +172,14 @@ impl Network {
         self.drained = self.drained.max(round);
     }
 
+    /// Releases the spare capacity of every ring slot (the ring itself
+    /// keeps its length).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        for slot in &mut self.slots {
+            slot.shrink_to_fit();
+        }
+    }
+
     /// Blocks referenced by pending deliveries (arbitrary order); used
     /// to keep in-flight blocks alive across tree pruning.
     pub fn pending_blocks(&self) -> impl Iterator<Item = BlockId> + '_ {

@@ -22,8 +22,9 @@
 //! *same* `jump()`-derived streams a plain [`crate::montecarlo::run_trials`]
 //! fan-out would use) and runs each until it crosses the first level or
 //! its round horizon expires. Stage `k` then resamples `effort` replicas
-//! with replacement from stage `k−1`'s crossing states (cloning the full
-//! engine state at the crossing round), hands each clone a fresh
+//! with replacement from stage `k−1`'s crossing states (cloning the
+//! engine state at the crossing round, compacted to its live fork
+//! window when it was stored), hands each clone a fresh
 //! disjoint stream via [`crate::execution::Simulation::reseed_mining`]
 //! (sound because geometric mining gaps are memoryless), and races them
 //! toward the next level. The failure probability estimate is the
@@ -268,6 +269,16 @@ impl SplittingRun {
     }
 }
 
+/// A replica that crossed its level, compacted to its live fork window
+/// ([`Simulation::compact`]) before it is stored as an entrance state.
+/// It runs inside the replica's own pool unit, so the work lands on the
+/// workers; without it every stored state would carry each block mined
+/// since its last cadence prune.
+fn entrance_state<A: Adversary>(mut sim: Simulation<A>) -> Simulation<A> {
+    sim.compact();
+    sim
+}
+
 /// One stage's fan-out: runs `run_one(replica)` for every replica index
 /// as one ordered job on the shared [`crate::executor`] pool and
 /// reduces the results **in replica order** (the mirror of
@@ -344,7 +355,7 @@ where
                 let mut sim = Simulation::with_rng(config, make_adversary(replica), rng);
                 let hit = sim.run_until_depth(rounds, level);
                 let consumed = sim.round();
-                (hit.then_some(sim), consumed)
+                (hit.then(|| entrance_state(sim)), consumed)
             };
             fan_out_stage(effort, plan.threads, run_one)
         } else {
@@ -368,7 +379,7 @@ where
                 sim.reseed_mining(streams[replica as usize].clone());
                 let hit = sim.run_until_depth(rounds, level);
                 let consumed = sim.round() - entered_at;
-                (hit.then_some(sim), consumed)
+                (hit.then(|| entrance_state(sim)), consumed)
             };
             fan_out_stage(effort, plan.threads, run_one)
         };
