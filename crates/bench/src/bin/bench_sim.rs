@@ -9,17 +9,17 @@
 //! * `bench_sim` — measure and print the table.
 //! * `bench_sim --write PATH` — measure and (re)write the JSON baseline.
 //! * `bench_sim --check PATH` — run the short check workloads (scalar,
-//!   lockstep-batch, and the end-to-end spec grid) and exit non-zero
+//!   8-trial block, and the end-to-end spec grid) and exit non-zero
 //!   if any throughput regressed more than 25% versus the committed
 //!   baseline's `check_rounds_per_sec` / `check_batch_rounds_per_sec`
 //!   / `check_grid_rounds_per_sec`.
 //!
-//! The `bench_sim/v2` schema adds lockstep-batch rows (width
-//! [`BATCH_WIDTH`]) for the two single-thread workloads. The batch
-//! engine runs each lane through the *same* per-lane code path as the
-//! scalar loop (that is what buys bit-identical aggregates), so its
-//! rounds/sec is expected to track the scalar number — the row exists
-//! to catch wave-overhead regressions, not to advertise a speedup.
+//! The `bench_sim/v2` schema adds batch rows for the two single-thread
+//! workloads: one Monte-Carlo pool unit of [`BATCH_WIDTH`] consecutive
+//! trials (`TrialPlan::with_batch_width`), run back to back on the
+//! scalar loop. Their rounds/sec is expected to track the scalar
+//! number — the rows catch fan-out overhead regressions, not advertise
+//! a speedup.
 //!
 //! The `bench_sim/v3` schema adds the **end-to-end grid row**: the
 //! committed `attack_sweep.toml` golden spec through
@@ -56,7 +56,7 @@ const SEED_IMMEDIATE_N1000_RPS: f64 = 17_542_993.0;
 /// same floor.
 const CHECK_FLOOR: f64 = 0.75;
 
-/// Lane count for the lockstep-batch rows.
+/// Trials per pool unit for the batch rows.
 const BATCH_WIDTH: u64 = 8;
 
 fn best_of<F: FnMut() -> f64>(reps: u32, mut f: F) -> f64 {
@@ -84,12 +84,12 @@ fn immediate_n1000(rounds: u64) -> f64 {
     dt
 }
 
-/// Lockstep-batch private-chain run at c = 3: [`BATCH_WIDTH`] lanes ×
-/// `rounds_per_lane`, single thread, through the Monte-Carlo batched
-/// fan-out. Returns wall seconds for the whole batch.
-fn private_chain_c3_batch(rounds_per_lane: u64) -> f64 {
+/// Batch private-chain run at c = 3: one pool unit of [`BATCH_WIDTH`]
+/// trials × `rounds_per_trial`, single thread, through the Monte-Carlo
+/// fan-out. Returns wall seconds for the whole unit.
+fn private_chain_c3_batch(rounds_per_trial: u64) -> f64 {
     let cfg = SimConfig::from_c(100, 4, 3.0, 0.25, 42).unwrap();
-    let plan = TrialPlan::new(cfg, rounds_per_lane, BATCH_WIDTH)
+    let plan = TrialPlan::new(cfg, rounds_per_trial, BATCH_WIDTH)
         .unwrap()
         .thresholds(vec![12])
         .with_threads(1)
@@ -97,15 +97,15 @@ fn private_chain_c3_batch(rounds_per_lane: u64) -> f64 {
     let t = Instant::now();
     let run = plan.run(|_| PrivateChainAdversary::new(4));
     let dt = t.elapsed().as_secs_f64();
-    assert_eq!(run.aggregate.total_rounds(), rounds_per_lane * BATCH_WIDTH);
+    assert_eq!(run.aggregate.total_rounds(), rounds_per_trial * BATCH_WIDTH);
     dt
 }
 
-/// Lockstep-batch immediate-release run with n = 1000 miners:
-/// [`BATCH_WIDTH`] lanes × `rounds_per_lane`, single thread.
-fn immediate_n1000_batch(rounds_per_lane: u64) -> f64 {
+/// Batch immediate-release run with n = 1000 miners: one pool unit of
+/// [`BATCH_WIDTH`] trials × `rounds_per_trial`, single thread.
+fn immediate_n1000_batch(rounds_per_trial: u64) -> f64 {
     let cfg = SimConfig::new(1_000, 0.25, 1.0 / (3.0 * 1_000.0 * 4.0), 4, 1).unwrap();
-    let plan = TrialPlan::new(cfg, rounds_per_lane, BATCH_WIDTH)
+    let plan = TrialPlan::new(cfg, rounds_per_trial, BATCH_WIDTH)
         .unwrap()
         .thresholds(vec![12])
         .with_threads(1)
@@ -113,7 +113,7 @@ fn immediate_n1000_batch(rounds_per_lane: u64) -> f64 {
     let t = Instant::now();
     let run = plan.run(|_| ImmediateReleaseAdversary::new());
     let dt = t.elapsed().as_secs_f64();
-    assert_eq!(run.aggregate.total_rounds(), rounds_per_lane * BATCH_WIDTH);
+    assert_eq!(run.aggregate.total_rounds(), rounds_per_trial * BATCH_WIDTH);
     dt
 }
 
@@ -140,7 +140,7 @@ fn check_throughput() -> f64 {
 }
 
 /// The batch-mode CI check workload: the same 1M private-chain rounds
-/// split over [`BATCH_WIDTH`] lockstep lanes, best of 3. Returns
+/// split over one unit of [`BATCH_WIDTH`] trials, best of 3. Returns
 /// rounds/sec.
 fn check_batch_throughput() -> f64 {
     const ROUNDS: u64 = 1_000_000;

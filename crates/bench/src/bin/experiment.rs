@@ -16,8 +16,9 @@
 //! `--rounds`/`--trials` override the spec's budgets (CI smokes every
 //! committed spec this way), `--seed` overrides the base master seed
 //! (sweep cells still derive theirs from the sweep stream), `--batch`
-//! overrides the lockstep batch width (stationary specs only; the
-//! aggregates are bit-identical at every width), `--jobs` fixes the
+//! overrides the block width, the consecutive trials one pool unit
+//! runs (stationary specs only; the aggregates are bit-identical at
+//! every width), `--jobs` fixes the
 //! process-wide executor pool width (cells complete in any order, but
 //! the table, totals, and JSON are byte-identical at every job count),
 //! `--verbose` streams per-cell completions (with each cell's own
@@ -29,11 +30,17 @@
 //! Output piped into a reader that hangs up early (`experiment spec.toml
 //! | head`) is cut off quietly: the run still finishes, writes `--out`
 //! and exits 0.
+//!
+//! `--out PATH` is opened before anything is simulated, so an
+//! unwritable path fails at once rather than after the run. Errors are
+//! printed as one `experiment: …` line on stderr, with exit code 1.
 
 use consistency_bench::{cli, experiment};
 use nakamoto_sim::executor;
 use nakamoto_sim::spec::ExperimentSpec;
+use std::fs::File;
 use std::io::{self, Write};
+use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "experiment <spec.toml> [--rounds N] [--trials N] [--threads N] [--jobs N] \
@@ -69,7 +76,17 @@ impl Write for QuietStdout {
     }
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("experiment: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = cli::Args::parse(
         USAGE,
         1,
@@ -103,6 +120,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         args.seed,
         args.batch,
     );
+    // A budget override can invalidate the spec (`--trials 0`); say so
+    // before printing anything.
+    spec.validate()?;
+    // Open --out before simulating: a bad path must not cost a run.
+    let out_file = match &args.out {
+        Some(out_path) => Some(File::create(out_path).map_err(|e| format!("{out_path}: {e}"))?),
+        None => None,
+    };
 
     let name = std::path::Path::new(path)
         .file_stem()
@@ -159,8 +184,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    if let Some(out_path) = &args.out {
-        std::fs::write(out_path, experiment::to_json(&name, &results))
+    if let (Some(mut file), Some(out_path)) = (out_file, &args.out) {
+        file.write_all(experiment::to_json(&name, &results).as_bytes())
             .map_err(|e| format!("{out_path}: {e}"))?;
         writeln!(out, "wrote {out_path}")?;
     }

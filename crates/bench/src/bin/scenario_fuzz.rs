@@ -2,8 +2,8 @@
 //! fuzzer ([`nakamoto_sim::fuzz::ScenarioFuzzer`]) for a case budget
 //! and fails loudly — with a runnable spec-format repro written next
 //! to the binary — when any engine invariant (thread-count
-//! bit-identity, pruning-liveness, prefix monotonicity) breaks on a
-//! generated case.
+//! bit-identity, pruning-liveness, prefix monotonicity, block-width
+//! bit-identity) breaks on a generated case.
 //!
 //! ```text
 //! cargo run --release -p consistency_bench --bin scenario_fuzz -- \
@@ -107,7 +107,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 stats.rounds,
                 started.elapsed().as_secs_f64(),
             );
-            println!("Invariants held: thread-count bit-identity, pruning-liveness, prefix monotonicity.");
+            println!(
+                "Invariants held: thread-count bit-identity, pruning-liveness, prefix monotonicity, \
+                 block-width bit-identity."
+            );
             Ok(())
         }
         Err(failure) => {

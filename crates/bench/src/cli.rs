@@ -65,7 +65,8 @@ pub struct Args {
     pub rounds: Option<u64>,
     /// `--trials N`: trial-count override.
     pub trials: Option<u64>,
-    /// `--batch N`: lockstep batch-width override (1 = scalar engine).
+    /// `--batch N`: block-width override, consecutive trials per pool
+    /// unit (1 = one trial per unit).
     pub batch: Option<u64>,
     /// `--out PATH`: machine-readable output path.
     pub out: Option<String>,

@@ -184,8 +184,8 @@ pub fn binding_config(spec: &ExperimentSpec) -> Result<nakamoto_sim::config::Sim
 /// committed spec at tiny budgets without editing the files.
 ///
 /// `batch` overwrites `run.batch_width`; on a scenario spec a width
-/// above 1 then fails validation loudly (scenario cells run the scalar
-/// engine), matching the CLI's fail-loud convention.
+/// above 1 then fails validation loudly (scenario cells run one trial
+/// per pool unit), matching the CLI's fail-loud convention.
 ///
 /// An override is a hard cap for the whole run, so sweep-cell patches
 /// targeting the same budget path (`experiment.trials`,

@@ -297,6 +297,59 @@ fn experiment_survives_a_reader_hanging_up() {
     assert!(consistency_bench::experiment::json_is_well_formed(&json));
 }
 
+/// Runs the `experiment` binary with `args` and returns its exit
+/// status, stdout and stderr.
+fn run_experiment(args: &[&std::ffi::OsStr]) -> (std::process::ExitStatus, String, String) {
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_experiment"))
+        .args(args)
+        .output()
+        .expect("experiment starts");
+    (
+        output.status,
+        String::from_utf8_lossy(&output.stdout).into_owned(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+/// An unwritable `--out` fails before anything is simulated: non-zero
+/// exit, no table on stdout, one readable error line on stderr.
+#[test]
+fn experiment_fails_fast_on_an_unwritable_out_path() {
+    let spec = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/specs/attack_sweep.toml");
+    let out = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir/x.json");
+    let (status, stdout, stderr) =
+        run_experiment(&[spec.as_os_str(), "--out".as_ref(), out.as_os_str()]);
+    assert_eq!(status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stdout.is_empty(), "no table before the failure:\n{stdout}");
+    assert!(
+        stderr.starts_with("experiment: ") && stderr.contains("x.json"),
+        "{stderr}"
+    );
+}
+
+/// CLI and spec errors print through `Display`, not `Debug`, and exit
+/// with code 1.
+#[test]
+fn experiment_errors_are_readable() {
+    let spec = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/specs/theorem1_check.toml");
+    let (status, _, stderr) =
+        run_experiment(&[spec.as_os_str(), "--trials".as_ref(), "0".as_ref()]);
+    assert_eq!(status.code(), Some(1), "stderr:\n{stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "experiment: spec: experiment.trials must be at least 1"
+    );
+    let (status, _, stderr) = run_experiment(&[spec.as_os_str(), "--jobs".as_ref()]);
+    assert_eq!(status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stderr.starts_with("experiment: `--jobs` needs"), "{stderr}");
+    assert!(
+        !stderr.contains("Error:") && !stderr.contains("SpecError"),
+        "{stderr}"
+    );
+}
+
 /// `bench_sim`: the throughput harness's workloads at tiny budgets —
 /// a statically dispatched single run plus a parallel trial fan-out.
 #[test]

@@ -161,15 +161,7 @@ impl ChainTracker {
         {
             self.chains[group].push(tip);
             if self.chains.len() == 2 {
-                self.advance_common_prefix();
-                let deepest = self
-                    .chains
-                    .iter()
-                    .map(|c| base + c.len() as u64 - 1)
-                    .max()
-                    .expect("non-empty"); // detlint: allow(panic-expect) -- chains has one entry per group and n_groups >= 1
-                let divergence = deepest - self.common_prefix_height;
-                self.max_divergence_depth = self.max_divergence_depth.max(divergence);
+                self.track_divergence();
             }
             return;
         }
@@ -203,27 +195,29 @@ impl ChainTracker {
         // Maintain the cross-group common prefix.
         if self.chains.len() == 2 {
             self.common_prefix_height = self.common_prefix_height.min(fork_height);
-            self.advance_common_prefix();
-            let deepest = self
-                .chains
-                .iter()
-                .map(|c| base + c.len() as u64 - 1)
-                .max()
-                .expect("non-empty"); // detlint: allow(panic-expect) -- chains has one entry per group and n_groups >= 1
-            let divergence = deepest - self.common_prefix_height;
-            self.max_divergence_depth = self.max_divergence_depth.max(divergence);
+            self.track_divergence();
         }
     }
 
-    fn advance_common_prefix(&mut self) {
+    /// Two-group bookkeeping after an adoption: advances the common
+    /// prefix over the entries both chains now share and records the
+    /// divergence of the deeper chain below it.
+    fn track_divergence(&mut self) {
         let base = self.base_height;
-        let limit = base + self.chains.iter().map(Vec::len).min().expect("non-empty") as u64 - 1; // detlint: allow(panic-expect) -- chains has one entry per group and n_groups >= 1
         let (a, b) = (&self.chains[0], &self.chains[1]);
+        let (shorter, deeper) = if a.len() <= b.len() {
+            (a.len(), b.len())
+        } else {
+            (b.len(), a.len())
+        };
+        let limit = base + shorter as u64 - 1;
         let mut cp = self.common_prefix_height;
         while cp < limit && a[(cp + 1 - base) as usize] == b[(cp + 1 - base) as usize] {
             cp += 1;
         }
         self.common_prefix_height = cp;
+        let divergence = base + deeper as u64 - 1 - cp;
+        self.max_divergence_depth = self.max_divergence_depth.max(divergence);
     }
 
     /// Deepest suffix any group ever discarded in a reorg.

@@ -391,6 +391,7 @@ impl<A: Adversary> Simulation<A> {
     }
 
     /// Advances the simulation by one round.
+    #[inline]
     pub fn step(&mut self) {
         self.round += 1;
         let round = self.round;
@@ -569,56 +570,7 @@ impl<A: Adversary> Simulation<A> {
     /// `step_by_step_equals_run` test).
     pub fn run(&mut self, rounds: u64) {
         let target = self.round + rounds;
-        let fast = self.fast_forward_enabled();
-        while self.round < target {
-            self.step();
-            if !fast {
-                continue;
-            }
-            let skip = self.plan_quiet_skip(target);
-            if skip > 0 {
-                self.skip_quiet(skip);
-            }
-        }
-    }
-
-    /// Whether the quiet-gap bulk skip applies to this run: the
-    /// strategy declares [`Adversary::supports_fast_forward`] and no
-    /// per-round log demands that every round execute for real.
-    /// Constant for the lifetime of a run (logging can only be enabled
-    /// at round zero), so [`Simulation::run`] and the lockstep batch
-    /// engine both evaluate it once per run segment.
-    pub(crate) fn fast_forward_enabled(&self) -> bool {
-        self.adversary.supports_fast_forward() && self.round_log.is_none()
-    }
-
-    /// The fast-path epilogue of one run-loop iteration: eagerly
-    /// refills the gap buffer and returns how many quiet rounds may be
-    /// consumed in bulk before `target`, the next buffered success, or
-    /// the next delivery — whichever is nearest. Shared between
-    /// [`Simulation::run`], [`Simulation::run_until_depth`] and the
-    /// lockstep batch engine so every driver advances a lane through
-    /// the identical op sequence (and hence the identical random
-    /// stream).
-    pub(crate) fn plan_quiet_skip(&mut self, target: u64) -> u64 {
-        // Refill the gap buffer eagerly: sampling order (and hence
-        // the random stream) is unchanged, but the round that would
-        // otherwise execute just to draw the next gap becomes
-        // skippable like the rest of the quiet stretch.
-        if self.pending_outcome.is_none() {
-            self.pending_outcome = self.sample_gap_outcome();
-        }
-        let Some((left, _)) = self.pending_outcome else {
-            return 0;
-        };
-        // Rounds strictly before the buffered success round are
-        // quiet; stop early for the run target and for the next
-        // delivery (its round must execute for real).
-        let mut skip = (left - 1).min(target - self.round);
-        if let Some(due) = self.network.next_due() {
-            skip = skip.min(due.saturating_sub(self.round + 1));
-        }
-        skip
+        self.run_to::<false>(target, 0);
     }
 
     /// Runs until the consistency depth reaches `depth` or the round
@@ -633,41 +585,57 @@ impl<A: Adversary> Simulation<A> {
     /// only change inside [`Simulation::step`] (skipped rounds deliver
     /// nothing and mine nothing).
     pub fn run_until_depth(&mut self, horizon: u64, depth: u64) -> bool {
-        if self.consistency_depth() >= depth {
-            return true;
-        }
-        let fast = self.fast_forward_enabled();
-        while self.round < horizon {
+        self.consistency_depth() >= depth || self.run_to::<true>(horizon, depth)
+    }
+
+    /// The one round loop behind [`Simulation::run`] and
+    /// [`Simulation::run_until_depth`]: steps toward the absolute round
+    /// `target`, and with `STOP_AT_DEPTH` returns `true` as soon as the
+    /// consistency depth reaches `depth`.
+    ///
+    /// After each real step a fast-forward-capable run refills the gap
+    /// buffer eagerly — sampling order (and hence the random stream) is
+    /// unchanged, but the round that would otherwise execute just to
+    /// draw the next gap becomes skippable like the rest of the quiet
+    /// stretch — and then consumes the quiet rounds before `target`,
+    /// the buffered success and the next delivery in O(min(k, Δ)): only
+    /// the round counter, the gap buffer and the streaming detectors
+    /// advance. Per-round logging disables the skip (every logged round
+    /// needs its own record); it can only be enabled at round zero, so
+    /// the check is hoisted out of the loop.
+    fn run_to<const STOP_AT_DEPTH: bool>(&mut self, target: u64, depth: u64) -> bool {
+        let fast = self.adversary.supports_fast_forward() && self.round_log.is_none();
+        while self.round < target {
             self.step();
-            if self.consistency_depth() >= depth {
+            if STOP_AT_DEPTH && self.consistency_depth() >= depth {
                 return true;
             }
             if !fast {
                 continue;
             }
-            let skip = self.plan_quiet_skip(horizon);
-            if skip > 0 {
-                self.skip_quiet(skip);
+            if self.pending_outcome.is_none() {
+                self.pending_outcome = self.sample_gap_outcome();
             }
+            let Some((left, _)) = &mut self.pending_outcome else {
+                continue;
+            };
+            // Rounds strictly before the buffered success round are
+            // quiet; stop early for the target and for the next
+            // delivery (its round must execute for real).
+            let mut skip = (*left - 1).min(target - self.round);
+            if let Some(due) = self.network.next_due() {
+                skip = skip.min(due.saturating_sub(self.round + 1));
+            }
+            if skip == 0 {
+                continue;
+            }
+            *left -= skip;
+            self.round += skip;
+            self.suffix.advance_n_run(skip);
+            self.convergence.advance_n_run(skip);
+            self.maybe_prune();
         }
         false
-    }
-
-    /// Consumes `k` quiet rounds in O(min(k, Δ)): no mining, no
-    /// deliveries, no strategy calls — only the round counter, the gap
-    /// buffer, and the streaming detectors advance. `pub(crate)` for
-    /// the lockstep batch engine, whose per-lane advance phase is this
-    /// exact call.
-    pub(crate) fn skip_quiet(&mut self, k: u64) {
-        debug_assert!(self.network.next_due().map_or(true, |d| d > self.round + k));
-        self.round += k;
-        if let Some((left, _)) = &mut self.pending_outcome {
-            debug_assert!(*left > k);
-            *left -= k;
-        }
-        self.suffix.advance_n_run(k);
-        self.convergence.advance_n_run(k);
-        self.maybe_prune();
     }
 
     fn maybe_prune(&mut self) {
@@ -977,6 +945,20 @@ mod tests {
             b.step();
         }
         assert_eq!(a.report(), b.report());
+    }
+
+    #[test]
+    fn segmented_run_matches_one_shot() {
+        // Two run() segments must land exactly where one combined
+        // segment does — the scenario layer drives runs this way.
+        let mk = || Simulation::new(cfg(60, 0.3, 2e-3, 3, 74), PrivateChainAdversary::new(3));
+        let mut split = mk();
+        split.run(7_000);
+        split.run(13_000);
+        let mut whole = mk();
+        whole.run(20_000);
+        assert_eq!(split.report(), whole.report());
+        assert_eq!(split.round(), 20_000);
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //!    opportunities, reorgs, depth maxima, group heights) is
 //!    nondecreasing, and the per-phase rounds recompose into the
 //!    scenario total.
-//! 4. **Lockstep-batch bit-identity** — the case's base config and
-//!    leading strategy, fanned out over `jump()`-derived lanes through
-//!    the [`crate::batch::BatchSimulation`] engine, reproduce the
-//!    scalar engine's reports lane for lane.
+//! 4. **Block-width bit-identity** — the case's base config and
+//!    leading strategy, run as a stationary [`TrialPlan`], give the
+//!    same aggregate with all trials in one pool unit (block width
+//!    4) as with one trial per unit (block width 1).
 //!
 //! A violation aborts the run with a [`FuzzFailure`] carrying the full
 //! sampled case as a TOML repro ([`FuzzFailure::repro_toml`]) plus the
@@ -46,15 +46,14 @@
 use crate::adversary::{
     Adversary, BalanceAdversary, ImmediateReleaseAdversary, PrivateChainAdversary,
 };
-use crate::batch::BatchSimulation;
 use crate::compose::{ComposedAdversary, Composition, SubSpec};
 use crate::config::SimConfig;
-use crate::execution::Simulation;
 use crate::metrics::SimReport;
+use crate::montecarlo::TrialPlan;
 use crate::scenario::{PhaseSpec, Regime, Scenario, ScenarioPlan, ScenarioRunner, StrategyKind};
 use crate::selfish::SelfishMiningAdversary;
 use crate::spec::{ExperimentMode, ExperimentSpec, FuzzHeader, RunSettings};
-use probability::rng::{RandomSource, SplitMix64, Xoshiro256PlusPlus};
+use probability::rng::{RandomSource, SplitMix64};
 use std::fmt;
 
 /// Aggregate statistics of a completed fuzz run.
@@ -412,50 +411,41 @@ pub fn check_scenario(scenario: &Scenario) -> Result<(), (&'static str, String)>
         ));
     }
 
-    // 4. Lockstep-batch bit-identity: the case's base config and its
-    // leading strategy, run stationary over jump()-derived lanes, must
-    // give lane-for-lane identical reports through the batch engine
-    // and the scalar engine.
-    const BATCH_LANES: usize = 4;
+    // 4. Block-width bit-identity: the case's base config and its
+    // leading strategy, run stationary, must give the same aggregate
+    // at every block width of the trial fan-out.
+    const BLOCK_WIDTH: usize = 4;
     let base = *scenario.base();
     let kind = scenario.phases()[0].strategy;
-    let make = || -> Box<dyn Adversary> {
+    let delta = base.delta;
+    let compositions = scenario.compositions().to_vec();
+    let make = move |_trial: u64| -> Box<dyn Adversary> {
         match kind {
             StrategyKind::Honest => Box::new(ImmediateReleaseAdversary::new()),
-            StrategyKind::PrivateChain => Box::new(PrivateChainAdversary::new(base.delta)),
-            StrategyKind::Balance => Box::new(BalanceAdversary::new(base.delta)),
-            StrategyKind::Selfish => Box::new(SelfishMiningAdversary::new(base.delta)),
-            StrategyKind::Composed(i) => Box::new(ComposedAdversary::new(
-                base.delta,
-                scenario.compositions()[i].clone(),
-            )),
+            StrategyKind::PrivateChain => Box::new(PrivateChainAdversary::new(delta)),
+            StrategyKind::Balance => Box::new(BalanceAdversary::new(delta)),
+            StrategyKind::Selfish => Box::new(SelfishMiningAdversary::new(delta)),
+            StrategyKind::Composed(i) => {
+                Box::new(ComposedAdversary::new(delta, compositions[i].clone()))
+            }
         }
     };
     let rounds = scenario.total_rounds().min(1_500);
-    let mut stream = Xoshiro256PlusPlus::seed_from_u64(base.seed);
-    let mut lanes = Vec::with_capacity(BATCH_LANES);
-    let mut scalars = Vec::with_capacity(BATCH_LANES);
-    for _ in 0..BATCH_LANES {
-        lanes.push(Simulation::with_rng(base, make(), stream.clone()));
-        scalars.push(Simulation::with_rng(base, make(), stream.clone()));
-        stream = stream.jump();
-    }
-    let mut batch = BatchSimulation::new(lanes);
-    batch.run(rounds);
-    let batched = batch.reports();
-    for (lane, mut sim) in scalars.into_iter().enumerate() {
-        sim.run(rounds);
-        let scalar = sim.report();
-        if batched[lane] != scalar {
-            return Err((
-                "lockstep-batch bit-identity",
-                format!(
-                    "lane {lane} of a width-{BATCH_LANES} batch diverged from the scalar engine \
-                     under `{kind:?}`: {:?} vs {scalar:?}",
-                    batched[lane]
-                ),
-            ));
-        }
+    let plan = TrialPlan::new(base, rounds, BLOCK_WIDTH as u64)
+        .map_err(|e| ("block-width bit-identity", e.to_string()))?
+        .thresholds(vec![0, 2, 6])
+        .with_threads(2);
+    let blocked = plan.clone().with_batch_width(BLOCK_WIDTH).run(make.clone());
+    let unit = plan.with_batch_width(1).run(make);
+    if blocked.aggregate != unit.aggregate {
+        return Err((
+            "block-width bit-identity",
+            format!(
+                "block width {BLOCK_WIDTH} diverged from block width 1 under `{kind:?}`: \
+                 {:?} vs {:?}",
+                blocked.aggregate, unit.aggregate
+            ),
+        ));
     }
     Ok(())
 }

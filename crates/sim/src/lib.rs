@@ -55,7 +55,6 @@
 //! ```
 
 pub mod adversary;
-pub mod batch;
 pub mod block;
 pub mod compose;
 pub mod config;

@@ -36,7 +36,6 @@
 //! ```
 
 use crate::adversary::Adversary;
-use crate::batch::BatchSimulation;
 use crate::config::{ConfigError, SimConfig};
 use crate::execution::Simulation;
 use crate::executor::{self, TaskKind};
@@ -54,7 +53,7 @@ pub const STOP_Z: f64 = 1.96;
 /// [`TrialPlan::stop_half_width`] is set but no explicit cadence was
 /// chosen. Checkpoints land on fixed trial counts (multiples of the
 /// wave size), so the stopping decision is a pure function of the
-/// master seed — never of thread count or batch width.
+/// master seed — never of thread count or block width.
 pub const DEFAULT_STOP_CHECK_EVERY: u64 = 64;
 
 /// A Monte-Carlo experiment: `trials` independent simulations of
@@ -76,11 +75,11 @@ pub struct TrialPlan {
     /// Consistency thresholds `T` for which per-trial violation is
     /// tallied (see [`TrialAggregate::failure_counts`]).
     pub consistency_thresholds: Vec<u64>,
-    /// Lockstep batch width: how many consecutive trials each worker
-    /// advances together through a [`BatchSimulation`]. `1` (the
-    /// default) runs the scalar engine per trial; any width produces
-    /// bit-identical aggregates (the batch engine shares the scalar
-    /// per-lane code path).
+    /// Block width: how many consecutive trials one pool unit runs
+    /// back to back. `1` (the default) hands out one trial per unit;
+    /// wider blocks trade load balance for fewer dispatches. Any width
+    /// produces bit-identical aggregates (every trial runs the same
+    /// scalar engine on its own stream).
     pub batch_width: usize,
     /// Sequential stopping target: when set, trials run in
     /// deterministic waves of [`TrialPlan::check_every`] and stop at
@@ -147,10 +146,9 @@ impl TrialPlan {
         self
     }
 
-    /// Sets the lockstep batch width (builder style); `0` is treated as
-    /// `1` (the scalar path). Aggregates are bit-identical at every
-    /// width — the batch engine advances each lane through the exact
-    /// scalar op sequence.
+    /// Sets the block width — consecutive trials per pool unit
+    /// (builder style); `0` is treated as `1`. Aggregates are
+    /// bit-identical at every width.
     #[must_use]
     pub fn with_batch_width(mut self, batch_width: usize) -> Self {
         self.batch_width = batch_width.max(1);
@@ -333,6 +331,19 @@ pub struct MonteCarloRun {
     pub rounds_per_sec: f64,
 }
 
+impl MonteCarloRun {
+    /// Wraps an aggregate with the fan-out's wall-clock metrics.
+    pub(crate) fn new(aggregate: TrialAggregate, threads: usize, elapsed_secs: f64) -> Self {
+        let rounds_per_sec = aggregate.total_rounds() as f64 / elapsed_secs.max(f64::MIN_POSITIVE);
+        MonteCarloRun {
+            aggregate,
+            threads,
+            elapsed_secs,
+            rounds_per_sec,
+        }
+    }
+}
+
 /// Derives the per-trial generators: the master stream seeded from
 /// `config.seed`, advanced `t` jumps for trial `t`. Shared with the
 /// splitting estimator, whose first stage must be stream-for-stream
@@ -347,76 +358,46 @@ pub(crate) fn trial_streams(master_seed: u64, trials: u64) -> Vec<Xoshiro256Plus
     streams
 }
 
-/// The deterministic fan-out shared by [`run_trials`] and the scenario
-/// layer's `ScenarioPlan`: runs `run_one(trial, stream)` for every
-/// trial as one ordered job on the shared [`crate::executor`] pool,
-/// and returns the reports **in trial order** together with the
-/// wall-clock seconds and the job width actually used.
+/// The deterministic fan-out shared by [`run_trials`], its adaptive
+/// waves and the scenario layer's `ScenarioPlan`: runs
+/// `run_one(base_trial + i, streams[i])` for every stream as one
+/// ordered job on the shared [`crate::executor`] pool, and returns the
+/// reports **in trial order** together with the wall-clock seconds and
+/// the job width actually used.
 ///
-/// Trial `t`'s stream is the master generator advanced by `t` jumps,
-/// and the reduction order is the trial index, so the result is a pure
-/// function of `(master_seed, run_one)` — never of pool width, job
-/// width, or scheduling.
+/// Each pool unit is a *block* of `block_width` consecutive trials run
+/// back to back on the calling worker (`0` is treated as `1`). Blocks
+/// cover consecutive trial ranges in block order, so flattening the
+/// block results in unit order *is* the trial-order reduction: the
+/// result is a pure function of `(streams, run_one)` — never of pool
+/// width, block width, or scheduling.
 pub(crate) fn fan_out_reports<F>(
-    master_seed: u64,
-    trials: u64,
+    streams: Vec<Xoshiro256PlusPlus>,
+    base_trial: u64,
     requested_threads: usize,
-    run_one: F,
+    block_width: u64,
+    run_one: Arc<F>,
 ) -> (Vec<SimReport>, f64, usize)
 where
     F: Fn(u64, Xoshiro256PlusPlus) -> SimReport + Send + Sync + 'static,
 {
-    let threads = effective_threads(requested_threads, trials);
-    let streams = Arc::new(trial_streams(master_seed, trials));
-
-    // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
-    let started = Instant::now();
-    let reports = executor::run_ordered(trials, threads, TaskKind::Leaf, move |trial| {
-        run_one(trial, streams[trial as usize].clone())
-    });
-    let elapsed_secs = started.elapsed().as_secs_f64();
-    debug_assert_eq!(reports.len() as u64, trials);
-    (reports, elapsed_secs, threads)
-}
-
-/// Block-pulling variant of [`fan_out_reports`] for the lockstep batch
-/// engine: each job unit is a *block* of `batch_width` consecutive
-/// trials whose streams are handed to `run_block`, which returns one
-/// report per stream in stream order. Trial `base_trial + i` runs on
-/// `streams[i]`, and blocks cover consecutive trial ranges in block
-/// order, so flattening block results in unit order *is* the
-/// trial-order reduction — a pure function of the streams, never of
-/// pool width or batch width. With `batch_width == 1` the unit
-/// sequence is exactly [`fan_out_reports`]'s.
-pub(crate) fn fan_out_report_blocks<F>(
-    streams: Vec<Xoshiro256PlusPlus>,
-    base_trial: u64,
-    requested_threads: usize,
-    batch_width: u64,
-    run_block: Arc<F>,
-) -> (Vec<SimReport>, f64, usize)
-where
-    F: Fn(u64, &[Xoshiro256PlusPlus]) -> Vec<SimReport> + Send + Sync + 'static,
-{
     let trials = streams.len() as u64;
-    let batch_width = batch_width.max(1);
-    let blocks = trials.div_ceil(batch_width);
+    let block_width = block_width.max(1);
+    let blocks = trials.div_ceil(block_width);
     let threads = effective_threads(requested_threads, blocks);
     let streams = Arc::new(streams);
 
     // detlint: allow(det-wallclock) -- wall time is reported, not mixed into results
     let started = Instant::now();
     let block_reports = executor::run_ordered(blocks, threads, TaskKind::Leaf, move |block| {
-        let start = block * batch_width;
-        let end = (start + batch_width).min(trials);
-        let chunk = &streams[start as usize..end as usize]; // detlint: allow(panic-slice-index) -- end = min(start + width, trials) <= streams.len() by construction
-        let reports = run_block(base_trial + start, chunk);
-        debug_assert_eq!(reports.len() as u64, end - start);
-        reports
+        let start = block * block_width;
+        let end = (start + block_width).min(trials);
+        (start..end)
+            .map(|t| run_one(base_trial + t, streams[t as usize].clone()))
+            .collect::<Vec<_>>()
     });
     let elapsed_secs = started.elapsed().as_secs_f64();
 
-    // Ordered reduction: block order is trial order.
     let reports: Vec<SimReport> = block_reports.into_iter().flatten().collect();
     debug_assert_eq!(reports.len() as u64, trials);
     (reports, elapsed_secs, threads)
@@ -477,9 +458,9 @@ pub(crate) fn aggregate_reports(
 /// once per trial). `plan.threads` bounds how many pool slots the job
 /// occupies — it no longer spawns OS threads of its own.
 ///
-/// With `plan.batch_width > 1`, workers pull blocks of consecutive
-/// trials and advance them through the lockstep [`BatchSimulation`];
-/// with [`TrialPlan::stop_half_width`] set, trials run in deterministic
+/// With `plan.batch_width > 1`, each pool unit runs a block of that
+/// many consecutive trials back to back; with
+/// [`TrialPlan::stop_half_width`] set, trials run in deterministic
 /// waves and stop at the first wave boundary meeting the target (see
 /// `run_trials_adaptive`).
 ///
@@ -504,68 +485,21 @@ where
         plan.trials > 0 && plan.rounds > 0,
         "empty experiment: construct plans through TrialPlan::new"
     );
-    if let Some(target) = plan.stop_half_width {
-        return run_trials_adaptive(plan, target, make_adversary);
-    }
-    let width = plan.batch_width.max(1) as u64;
-    if width == 1 {
-        // Scalar path: one trial per pull, the historical engine.
-        let config = plan.config;
-        let rounds = plan.rounds;
-        let run_one = move |trial: u64, rng: Xoshiro256PlusPlus| {
-            let mut sim = Simulation::with_rng(config, make_adversary(trial), rng);
-            sim.run(rounds);
-            sim.report()
-        };
-        let (reports, elapsed_secs, threads) =
-            fan_out_reports(plan.config.seed, plan.trials, plan.threads, run_one);
-        let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
-        let total_rounds = aggregate.total_rounds();
-        return MonteCarloRun {
-            aggregate,
-            threads,
-            elapsed_secs,
-            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-        };
-    }
-    let streams = trial_streams(plan.config.seed, plan.trials);
-    let run_block = batch_block_runner(plan, Arc::new(make_adversary));
-    let (reports, elapsed_secs, threads) =
-        fan_out_report_blocks(streams, 0, plan.threads, width, run_block);
-    let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
-    let total_rounds = aggregate.total_rounds();
-    MonteCarloRun {
-        aggregate,
-        threads,
-        elapsed_secs,
-        rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-    }
-}
-
-/// Builds the block runner shared by the fixed-budget and adaptive
-/// paths: trial `first + i` becomes lane `i` of a lockstep batch.
-fn batch_block_runner<A, F>(
-    plan: &TrialPlan,
-    make_adversary: Arc<F>,
-) -> Arc<impl Fn(u64, &[Xoshiro256PlusPlus]) -> Vec<SimReport> + Send + Sync + 'static>
-where
-    A: Adversary,
-    F: Fn(u64) -> A + Send + Sync + 'static,
-{
     let config = plan.config;
     let rounds = plan.rounds;
-    Arc::new(move |first: u64, streams: &[Xoshiro256PlusPlus]| {
-        let lanes = streams
-            .iter()
-            .enumerate()
-            .map(|(i, rng)| {
-                Simulation::with_rng(config, make_adversary(first + i as u64), rng.clone())
-            })
-            .collect();
-        let mut batch = BatchSimulation::new(lanes);
-        batch.run(rounds);
-        batch.reports()
-    })
+    let run_one = Arc::new(move |trial: u64, rng: Xoshiro256PlusPlus| {
+        let mut sim = Simulation::with_rng(config, make_adversary(trial), rng);
+        sim.run(rounds);
+        sim.report()
+    });
+    if let Some(target) = plan.stop_half_width {
+        return run_trials_adaptive(plan, target, run_one);
+    }
+    let streams = trial_streams(plan.config.seed, plan.trials);
+    let (reports, elapsed_secs, threads) =
+        fan_out_reports(streams, 0, plan.threads, plan.batch_width as u64, run_one);
+    let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
+    MonteCarloRun::new(aggregate, threads, elapsed_secs)
 }
 
 /// Sequential-stopping fan-out: runs trials in deterministic waves of
@@ -578,13 +512,12 @@ where
 /// (multiples of the wave size, capped by the budget), and each
 /// checkpoint's statistic is computed over the trial-ordered prefix, so
 /// the stopping decision — and hence the aggregate — is bit-identical
-/// at every thread count and batch width. Trial `t` still runs on the
+/// at every thread count and block width. Trial `t` still runs on the
 /// master stream advanced `t` jumps: the master generator rolls forward
 /// wave by wave instead of being expanded up front.
-fn run_trials_adaptive<A, F>(plan: &TrialPlan, target: f64, make_adversary: F) -> MonteCarloRun
+fn run_trials_adaptive<F>(plan: &TrialPlan, target: f64, run_one: Arc<F>) -> MonteCarloRun
 where
-    A: Adversary,
-    F: Fn(u64) -> A + Send + Sync + 'static,
+    F: Fn(u64, Xoshiro256PlusPlus) -> SimReport + Send + Sync + 'static,
 {
     assert!(
         target > 0.0 && target < 1.0,
@@ -594,13 +527,11 @@ where
         !plan.consistency_thresholds.is_empty(),
         "the stopping rule tracks consistency failure rates: set at least one threshold"
     );
-    let width = plan.batch_width.max(1) as u64;
     let check = if plan.check_every == 0 {
         DEFAULT_STOP_CHECK_EVERY
     } else {
         plan.check_every
     };
-    let run_block = batch_block_runner(plan, Arc::new(make_adversary));
 
     let mut master = Xoshiro256PlusPlus::seed_from_u64(plan.config.seed);
     let mut reports: Vec<SimReport> = Vec::new();
@@ -621,12 +552,12 @@ where
             })
             .collect();
         let base = reports.len() as u64;
-        let (wave_reports, secs, threads) = fan_out_report_blocks(
+        let (wave_reports, secs, threads) = fan_out_reports(
             wave_streams,
             base,
             plan.threads,
-            width,
-            Arc::clone(&run_block),
+            plan.batch_width as u64,
+            Arc::clone(&run_one),
         );
         elapsed_secs += secs;
         threads_used = threads_used.max(threads);
@@ -648,13 +579,7 @@ where
         }
     }
     let aggregate = aggregate_reports(&reports, plan.rounds, &plan.consistency_thresholds);
-    let total_rounds = aggregate.total_rounds();
-    MonteCarloRun {
-        aggregate,
-        threads: threads_used,
-        elapsed_secs,
-        rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-    }
+    MonteCarloRun::new(aggregate, threads_used, elapsed_secs)
 }
 
 /// Job width for a fan-out: `requested`, or the shared executor pool's
@@ -853,8 +778,8 @@ mod tests {
 
     #[test]
     fn batch_widths_and_thread_counts_are_bit_identical() {
-        // Tentpole acceptance: the lockstep batch engine must return
-        // the scalar engine's aggregate bit-for-bit at every batch
+        // Blocks of consecutive trials per pool unit must return the
+        // one-trial-per-unit aggregate bit-for-bit at every block
         // width and thread count.
         let reference = plan(31, 24)
             .with_threads(1)
@@ -871,6 +796,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A plan at block width `width` against the same plan at width 1,
+    /// both single-threaded and at two threads.
+    fn assert_block_widths_match_width_one<A, F>(cfg: SimConfig, make: F)
+    where
+        A: Adversary,
+        F: Fn(u64) -> A + Clone + Send + Sync + 'static,
+    {
+        let plan = TrialPlan::new(cfg, 20_000, 16)
+            .unwrap()
+            .thresholds(vec![0, 2, 6]);
+        let reference = plan.clone().with_threads(1).run(make.clone());
+        for width in [2usize, 8, 16] {
+            for threads in [1usize, 2] {
+                let other = plan
+                    .clone()
+                    .with_threads(threads)
+                    .with_batch_width(width)
+                    .run(make.clone());
+                assert_eq!(
+                    reference.aggregate, other.aggregate,
+                    "width {width}, threads {threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn private_chain_block_widths_match_width_one() {
+        let cfg = SimConfig::from_c(60, 3, 1.0, 0.35, 71).unwrap();
+        assert_block_widths_match_width_one(cfg, |_| PrivateChainAdversary::new(3));
+    }
+
+    #[test]
+    fn balance_block_widths_match_width_one() {
+        let cfg = SimConfig::from_c(60, 4, 1.0, 0.4, 72).unwrap();
+        assert_block_widths_match_width_one(cfg, |_| BalanceAdversary::new(4));
+    }
+
+    #[test]
+    fn immediate_release_block_widths_match_width_one() {
+        let cfg = SimConfig::new(200, 0.25, 1e-3, 2, 73).unwrap();
+        assert_block_widths_match_width_one(cfg, |_| ImmediateReleaseAdversary::new());
     }
 
     #[test]
@@ -894,7 +863,7 @@ mod tests {
     #[test]
     fn adaptive_stopping_is_thread_and_width_independent() {
         // The stopping rule must fire at the same trial count — and
-        // return the same aggregate — at every thread count and batch
+        // return the same aggregate — at every thread count and block
         // width: checkpoints are pure functions of the master seed.
         let mk = || {
             let cfg = SimConfig::from_c(60, 3, 1.0, 0.35, 41).unwrap();

@@ -43,8 +43,10 @@ impl PartialOrd for Delivery {
 /// Queue of pending deliveries bucketed by round.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
-    /// `slots[r % slots.len()]` holds the deliveries due at round `r`,
-    /// for `r` in the active window `(drained, drained + slots.len()]`.
+    /// `slots[r & mask]` holds the deliveries due at round `r`, for `r`
+    /// in the active window `(drained, drained + slots.len()]`. The ring
+    /// length is zero or a power of two of at least 4 (see
+    /// [`Network::grow`]), so `mask = slots.len() - 1` replaces `%`.
     slots: Vec<Vec<Delivery>>,
     /// Total deliveries across all slots.
     pending: usize,
@@ -95,8 +97,8 @@ impl Network {
         if window > self.slots.len() {
             self.grow(window);
         }
-        let len = self.slots.len() as u64;
-        self.slots[(round % len) as usize].push(Delivery {
+        let mask = self.mask();
+        self.slots[(round & mask) as usize].push(Delivery {
             round,
             group,
             block,
@@ -109,13 +111,23 @@ impl Network {
 
     /// Re-buckets all pending deliveries into a ring of at least
     /// `min_len` slots (rare: the window only grows until it covers Δ).
+    /// The length stays a power of two of at least 4.
     fn grow(&mut self, min_len: usize) {
         let new_len = min_len.next_power_of_two().max(4);
+        let mask = new_len as u64 - 1;
         let mut slots = vec![Vec::new(); new_len];
         for d in self.slots.iter_mut().flat_map(|s| s.drain(..)) {
-            slots[(d.round % new_len as u64) as usize].push(d);
+            slots[(d.round & mask) as usize].push(d);
         }
         self.slots = slots;
+    }
+
+    /// Index mask of the ring; only meaningful once a schedule has
+    /// grown it.
+    #[inline]
+    fn mask(&self) -> u64 {
+        debug_assert!(self.slots.len().is_power_of_two() && self.slots.len() >= 4);
+        self.slots.len() as u64 - 1
     }
 
     /// Pops every delivery due at or before `round`, in round order.
@@ -132,19 +144,26 @@ impl Network {
     pub fn drain_due_into(&mut self, round: Round, out: &mut Vec<Delivery>) {
         out.clear();
         while self.pending > 0 && self.earliest <= round {
-            let len = self.slots.len() as u64;
-            let slot = &mut self.slots[(self.earliest % len) as usize];
+            let mask = self.mask();
+            let slot = &mut self.slots[(self.earliest & mask) as usize];
             if slot.len() > 1 {
                 slot.sort_unstable();
             }
             self.pending -= slot.len();
             self.delivered += slot.len() as u64;
-            out.append(slot);
+            // The common case drains one slot into an empty buffer:
+            // trade buffers instead of copying (the slot keeps the
+            // empty buffer's capacity for later schedules).
+            if out.is_empty() {
+                std::mem::swap(out, slot);
+            } else {
+                out.append(slot);
+            }
             // Advance to the next non-empty bucket (≤ ring length away
             // by the window invariant).
             if self.pending > 0 {
                 let mut r = self.earliest + 1;
-                while self.slots[(r % len) as usize].is_empty() {
+                while self.slots[(r & mask) as usize].is_empty() {
                     r += 1;
                 }
                 self.earliest = r;

@@ -62,6 +62,10 @@ struct GapSampler {
     p: f64,
     /// `α = P[any success in a round]`.
     alpha: f64,
+    /// `⌈α·2⁵³⌉`: the dense-regime geometric test `next_f64() ≥ α` as
+    /// an integer compare on the 53-bit draw (see
+    /// [`dense_threshold`]).
+    alpha_threshold: u64,
     /// `1 / ln(1 - α)`; the geometric inverse-CDF multiplier.
     inv_ln_q: f64,
     /// `P[K = 1 | K ≥ 1]` for the truncated BINV start, or `None` when
@@ -73,6 +77,20 @@ struct GapSampler {
     /// `ratios[k-1] = P[K = k+1]/P[K = k]` for `k ≤ RATIO_TABLE`:
     /// removes the per-iteration division from the hot BINV loop.
     ratios: [f64; RATIO_TABLE],
+}
+
+/// Round-success probability from which [`GapSampler::sample_gap`]
+/// draws the geometric gap by repeated uniforms instead of a logarithm.
+const DENSE_ALPHA: f64 = 0.2;
+
+/// `⌈α·2⁵³⌉`, the integer form of the test `next_f64() ≥ α`.
+///
+/// `next_f64()` is `m·2⁻⁵³` for the top 53 bits `m = next_u64() >> 11`,
+/// and both that product and `α·2⁵³` are exact in `f64` (scaling by a
+/// power of two), so `m·2⁻⁵³ ≥ α ⟺ m ≥ α·2⁵³ ⟺ m ≥ ⌈α·2⁵³⌉` for the
+/// integer `m`: the two tests accept exactly the same draws.
+fn dense_threshold(alpha: f64) -> u64 {
+    (alpha * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// Number of precomputed BINV mass ratios (covers `K ≤ 9`, far beyond
@@ -92,6 +110,7 @@ impl GapSampler {
                 n_total,
                 p,
                 alpha: 1.0,
+                alpha_threshold: dense_threshold(1.0),
                 inv_ln_q: 0.0,
                 r1: None,
                 s: 0.0,
@@ -116,6 +135,7 @@ impl GapSampler {
             n_total,
             p,
             alpha,
+            alpha_threshold: dense_threshold(alpha),
             inv_ln_q,
             r1,
             s,
@@ -133,9 +153,9 @@ impl GapSampler {
         // Dense regime: expected gap ≤ ~5, so a handful of uniform
         // draws beats evaluating a logarithm. Sparse regime: one
         // logarithm replaces an unbounded number of draws.
-        if self.alpha >= 0.2 {
+        if self.alpha >= DENSE_ALPHA {
             let mut g = 1u64;
-            while rng.next_f64() >= self.alpha {
+            while rng.next_u64() >> 11 >= self.alpha_threshold {
                 g += 1;
             }
             return g;
@@ -404,6 +424,7 @@ impl MiningOracle {
     /// Distribution: exactly the law of repeatedly calling
     /// [`MiningOracle::sample_round`] until a non-quiet round appears —
     /// only the random-number *stream* differs, not the statistics.
+    #[inline]
     pub fn sample_gap_to_success(&mut self) -> Option<(u64, RoundOutcome)> {
         let gap = self.gap.as_ref()?;
         let g = gap.sample_gap(&mut self.rng);
@@ -512,6 +533,102 @@ mod tests {
         let o = MiningOracle::new([400, 100], 77, p, rng(5));
         let expected = (500.0 * (-p).ln_1p()).exp();
         assert!((o.alpha_bar() - expected).abs() < 1e-12);
+    }
+
+    /// The first 64 `sample_gap_to_success` outcomes as `(gap, honest
+    /// group 0, honest group 1, adversary)`, recorded with the
+    /// floating-point dense-regime test `next_f64() >= α`: any change
+    /// to the random stream the engine consumes shows up here.
+    #[rustfmt::skip]
+    const DENSE_GOLDEN: [(u64, u64, u64, u64); 64] = [
+        (1, 1, 0, 1), (1, 1, 0, 0), (1, 0, 2, 1), (1, 1, 0, 0), (2, 3, 0, 1), (1, 1, 0, 0),
+        (1, 1, 0, 1), (1, 1, 0, 0), (3, 2, 1, 1), (1, 1, 1, 0), (1, 2, 0, 0), (1, 1, 0, 0),
+        (1, 2, 0, 0), (2, 0, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0), (1, 3, 2, 1), (1, 1, 1, 1),
+        (1, 5, 1, 1), (1, 2, 0, 0), (1, 1, 0, 2), (1, 0, 1, 1), (2, 1, 1, 0), (2, 2, 0, 0),
+        (1, 1, 0, 0), (1, 1, 0, 0), (3, 1, 0, 0), (1, 1, 2, 1), (2, 1, 1, 0), (2, 1, 0, 0),
+        (1, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 0, 0, 1), (1, 1, 1, 0), (1, 1, 0, 0),
+        (1, 2, 1, 0), (1, 2, 0, 0), (1, 2, 1, 1), (1, 2, 1, 0), (1, 1, 0, 0), (1, 0, 1, 1),
+        (1, 1, 0, 0), (1, 1, 1, 1), (2, 0, 0, 2), (2, 3, 1, 0), (2, 1, 0, 0), (1, 2, 0, 0),
+        (1, 3, 1, 0), (1, 2, 0, 0), (1, 2, 0, 1), (2, 1, 1, 0), (2, 0, 0, 1), (2, 1, 0, 0),
+        (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 0, 1), (1, 0, 1, 1), (1, 0, 1, 1), (1, 3, 0, 0),
+        (2, 1, 0, 0), (1, 0, 0, 1), (1, 4, 2, 0), (1, 0, 3, 0),
+    ];
+
+    /// As [`DENSE_GOLDEN`], for a sparse configuration (logarithmic
+    /// gap draw).
+    #[rustfmt::skip]
+    const SPARSE_GOLDEN: [(u64, u64, u64, u64); 64] = [
+        (3, 1, 0, 0), (10, 1, 0, 0), (17, 1, 0, 0), (5, 1, 0, 0), (37, 1, 0, 0), (15, 1, 0, 0),
+        (24, 1, 0, 0), (14, 1, 0, 0), (10, 1, 0, 0), (32, 1, 0, 0), (2, 2, 0, 0), (2, 1, 0, 0),
+        (22, 1, 0, 0), (41, 0, 0, 1), (6, 1, 0, 0), (19, 1, 0, 0), (16, 1, 0, 0), (1, 1, 0, 0),
+        (6, 0, 0, 1), (60, 1, 0, 0), (9, 1, 0, 0), (11, 1, 0, 0), (18, 1, 0, 0), (3, 1, 0, 0),
+        (8, 1, 0, 0), (39, 1, 0, 0), (58, 1, 0, 0), (11, 1, 0, 0), (7, 2, 0, 0), (18, 1, 0, 0),
+        (17, 0, 0, 1), (1, 0, 0, 1), (8, 0, 0, 1), (1, 0, 0, 1), (22, 1, 0, 0), (4, 1, 0, 0),
+        (4, 1, 0, 0), (4, 0, 0, 1), (8, 1, 0, 0), (83, 1, 0, 0), (31, 1, 0, 0), (38, 1, 0, 0),
+        (7, 1, 0, 0), (4, 1, 0, 0), (35, 1, 0, 0), (7, 1, 0, 0), (5, 0, 0, 1), (60, 1, 0, 0),
+        (3, 1, 0, 1), (3, 1, 0, 0), (40, 1, 0, 0), (15, 1, 0, 0), (49, 1, 0, 0), (31, 1, 0, 0),
+        (8, 1, 0, 0), (56, 2, 0, 0), (40, 1, 0, 0), (29, 0, 0, 1), (1, 1, 0, 0), (1, 1, 0, 0),
+        (1, 1, 0, 0), (15, 1, 0, 0), (83, 1, 0, 0), (12, 1, 0, 0),
+    ];
+
+    fn first_outcomes(oracle: &mut MiningOracle) -> Vec<(u64, u64, u64, u64)> {
+        (0..64)
+            .map(|_| {
+                let (gap, out) = oracle.sample_gap_to_success().unwrap();
+                let [h0, h1] = out.honest_per_group;
+                (gap, h0, h1, out.adversary)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dense_gap_stream_is_pinned() {
+        let mut o = MiningOracle::new([100, 50], 30, 0.01, rng(9));
+        assert!(o.gap.unwrap().alpha >= DENSE_ALPHA, "dense regime");
+        assert_eq!(first_outcomes(&mut o), DENSE_GOLDEN);
+    }
+
+    #[test]
+    fn sparse_gap_stream_is_pinned() {
+        let mut o = MiningOracle::new([400, 0], 100, 1e-4, rng(17));
+        assert!(o.gap.unwrap().alpha < DENSE_ALPHA, "sparse regime");
+        assert_eq!(first_outcomes(&mut o), SPARSE_GOLDEN);
+    }
+
+    #[test]
+    fn integer_threshold_matches_float_compare() {
+        const SCALE: f64 = (1u64 << 53) as f64;
+        let ulp = 1.0 / SCALE;
+        // Exact multiples of 2⁻⁵³ (the threshold lands on a draw), the
+        // regime boundary and its neighbours, and generic values.
+        let mut alphas = vec![
+            DENSE_ALPHA,
+            DENSE_ALPHA - ulp,
+            DENSE_ALPHA + ulp,
+            (DENSE_ALPHA * SCALE).floor() / SCALE,
+            (DENSE_ALPHA * SCALE).ceil() / SCALE,
+            0.25,
+            0.5,
+            1.0 / 3.0,
+            0.836,
+            1.0 - ulp,
+            1.0,
+        ];
+        let mut source = rng(0xA1FA);
+        for _ in 0..64 {
+            alphas.push(DENSE_ALPHA + (1.0 - DENSE_ALPHA) * source.next_f64());
+            alphas.push(((source.next_u64() >> 11) as f64 / SCALE).max(DENSE_ALPHA));
+        }
+        for alpha in alphas {
+            let threshold = dense_threshold(alpha);
+            let float_accepts = |m: u64| m as f64 * ulp >= alpha;
+            let mut draws = vec![0, (1 << 53) - 1];
+            draws.extend(threshold.saturating_sub(2)..(threshold + 2).min(1 << 53));
+            draws.extend((0..256).map(|_| source.next_u64() >> 11));
+            for m in draws {
+                assert_eq!(float_accepts(m), m >= threshold, "α = {alpha:e}, m = {m}");
+            }
+        }
     }
 
     #[test]

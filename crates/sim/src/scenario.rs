@@ -56,7 +56,7 @@ use crate::compose::{ComposedAdversary, Composition};
 use crate::config::{ConfigError, SimConfig};
 use crate::execution::Simulation;
 use crate::metrics::SimReport;
-use crate::montecarlo::{aggregate_reports, fan_out_reports, MonteCarloRun};
+use crate::montecarlo::{aggregate_reports, fan_out_reports, trial_streams, MonteCarloRun};
 use crate::selfish::SelfishMiningAdversary;
 use crate::tree::BlockTree;
 use probability::rng::Xoshiro256PlusPlus;
@@ -835,24 +835,15 @@ impl ScenarioPlan {
         let run_one = move |_trial: u64, rng: Xoshiro256PlusPlus| {
             run_scenario_with_rng(&scenario, rng).final_report
         };
-        let (reports, elapsed_secs, threads) = fan_out_reports(
-            self.scenario.base().seed,
-            self.trials,
-            self.threads,
-            run_one,
-        );
+        let streams = trial_streams(self.scenario.base().seed, self.trials);
+        let (reports, elapsed_secs, threads) =
+            fan_out_reports(streams, 0, self.threads, 1, std::sync::Arc::new(run_one));
         let aggregate = aggregate_reports(
             &reports,
             self.scenario.total_rounds(),
             &self.consistency_thresholds,
         );
-        let total_rounds = aggregate.total_rounds();
-        MonteCarloRun {
-            aggregate,
-            threads,
-            elapsed_secs,
-            rounds_per_sec: total_rounds as f64 / elapsed_secs.max(f64::MIN_POSITIVE),
-        }
+        MonteCarloRun::new(aggregate, threads, elapsed_secs)
     }
 }
 

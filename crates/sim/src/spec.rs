@@ -894,8 +894,8 @@ pub struct SplittingSettings {
     pub effort: u64,
 }
 
-/// The widest lockstep batch a spec may request; wider batches buy no
-/// further locality on one core and inflate per-worker memory.
+/// The widest trial block a spec may request; wider blocks only cost
+/// load balance across pool workers.
 pub const MAX_BATCH_WIDTH: u64 = 64;
 
 /// `[experiment]`: the Monte-Carlo settings every cell shares.
@@ -914,8 +914,9 @@ pub struct RunSettings {
     pub estimator: EstimatorKind,
     /// Level-schedule knobs for the splitting estimator.
     pub splitting: SplittingSettings,
-    /// Lockstep batch width (`1` = the scalar engine; max
-    /// [`MAX_BATCH_WIDTH`]). Bit-identical aggregates at every width.
+    /// Block width: consecutive trials per pool unit (`1` = one trial
+    /// per unit; max [`MAX_BATCH_WIDTH`]). Bit-identical aggregates at
+    /// every width.
     pub batch_width: u64,
     /// Sequential stopping target: stop a cell at the first wave
     /// boundary where every threshold's Wilson half-width is at most
@@ -1807,7 +1808,7 @@ impl ExperimentSpec {
         }
         if self.run.batch_width > 1 && !matches!(self.mode, ExperimentMode::Stationary { .. }) {
             return Err(SpecError::whole(
-                "experiment.batch_width > 1 needs a [stationary] table; scenario cells run the scalar engine",
+                "experiment.batch_width > 1 needs a [stationary] table; scenario cells run one trial per pool unit",
             ));
         }
         if let Some(half_width) = self.run.stop_half_width {
@@ -2631,9 +2632,9 @@ mod tests {
 
     #[test]
     fn batch_width_key_drives_the_lockstep_engine() {
-        // A batched spec run must be bit-identical to the scalar spec
-        // run: `batch_width` is a performance knob, never a semantic
-        // one.
+        // A spec run at block width 8 must be bit-identical to the
+        // width-1 run: `batch_width` is a performance knob, never a
+        // semantic one.
         let scalar = ExperimentSpec::parse(STATIONARY_SPEC).unwrap();
         let mut source = String::from(STATIONARY_SPEC);
         source = source.replace("trials = 2", "trials = 6\nbatch_width = 8");

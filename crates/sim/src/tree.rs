@@ -145,12 +145,27 @@ impl BlockTree {
     #[inline]
     #[must_use]
     pub fn block(&self, id: BlockId) -> &Block {
+        // A pruned id wraps to a huge index, so one bounds-checked
+        // `get` covers both the pruned and the never-added case.
+        match self.blocks.get(id.0.wrapping_sub(self.offset) as usize) {
+            Some(block) => block,
+            None => self.missing(id),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn missing(&self, id: BlockId) -> ! {
         assert!(
             id.0 >= self.offset,
             "block {id} was pruned (tree root is {})",
             self.root
         );
-        &self.blocks[(id.0 - self.offset) as usize]
+        // detlint: allow(panic-macro) -- documented # Panics contract of BlockTree::block
+        panic!(
+            "block {id} was never added (next id {})",
+            self.total_created()
+        );
     }
 
     /// Height of a block (genesis is 0; heights stay absolute across
@@ -264,24 +279,33 @@ impl BlockTree {
     /// Panics if `new_root` is not resident or does not descend from
     /// the current root.
     pub fn prune_to(&mut self, new_root: BlockId) {
+        // One walk both checks ancestry and folds the chain
+        // (old_root, new_root] into the prefix summary.
+        let root_height = self.height(self.root);
+        let (mut honest, mut adversary) = (0, 0);
+        let mut cur = new_root;
+        loop {
+            let block = self.block(cur);
+            if block.height <= root_height {
+                break;
+            }
+            match block.provenance {
+                Provenance::Honest(_) => honest += 1,
+                Provenance::Adversary => adversary += 1,
+                Provenance::Genesis => {}
+            }
+            cur = block.parent;
+        }
         assert!(
-            self.is_ancestor(self.root, new_root),
+            cur == self.root,
             "new root {new_root} must descend from the current root {}",
             self.root
         );
         if new_root == self.root {
             return;
         }
-        // Fold the chain (old_root, new_root] into the prefix summary.
-        let mut cur = new_root;
-        while cur != self.root {
-            match self.block(cur).provenance {
-                Provenance::Honest(_) => self.pruned_honest += 1,
-                Provenance::Adversary => self.pruned_adversary += 1,
-                Provenance::Genesis => {}
-            }
-            cur = self.parent(cur);
-        }
+        self.pruned_honest += honest;
+        self.pruned_adversary += adversary;
         let drop = new_root.0 - self.offset;
         self.blocks.drain(..drop as usize);
         self.offset = new_root.0;
