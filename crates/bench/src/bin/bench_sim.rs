@@ -27,9 +27,9 @@
 //! `experiment` binary takes — spec expansion, all cells submitted at
 //! once to the shared `nakamoto_sim::executor` pool, analytic overlay.
 //! On the 1-CPU reference container this pins the executor's overhead
-//! (inline fast path, no pool) to within the regression gate; on a
-//! multi-core host the same row records the cell-pipelining speedup
-//! the ROADMAP's re-measure item asks for.
+//! (width-1 jobs run on the caller, no pool) to within the regression
+//! gate; on a multi-core host the same row records the cell-pipelining
+//! speedup the ROADMAP's re-measure item asks for.
 //!
 //! Budgets and expected runtime: see EXPERIMENTS.md.
 
@@ -124,7 +124,7 @@ fn immediate_n1000_batch(rounds_per_trial: u64) -> f64 {
 /// seconds, cells, total simulated rounds).
 fn spec_grid(rounds: u64, trials: u64) -> (f64, usize, u64) {
     let mut spec = ExperimentSpec::parse(GRID_SPEC).expect("committed spec parses");
-    experiment::apply_budget(&mut spec, Some(rounds), Some(trials), Some(1), None, None);
+    experiment::apply_budget(&mut spec, Some(rounds), Some(trials), None);
     let t = Instant::now();
     let results = experiment::run_spec(&spec).expect("committed spec runs");
     let wall = t.elapsed().as_secs_f64();

@@ -9,18 +9,16 @@
 //!
 //! ```text
 //! cargo run --release -p consistency_bench --bin experiment -- \
-//!     <spec.toml> [--rounds N] [--trials N] [--threads N] [--jobs N] \
-//!     [--seed S] [--batch W] [--out PATH] [--verbose]
+//!     <spec.toml> [--rounds N] [--trials N] [--jobs N] [--seed S] \
+//!     [--out PATH] [--verbose]
 //! ```
 //!
 //! `--rounds`/`--trials` override the spec's budgets (CI smokes every
 //! committed spec this way), `--seed` overrides the base master seed
-//! (sweep cells still derive theirs from the sweep stream), `--batch`
-//! overrides the block width, the consecutive trials one pool unit
-//! runs (stationary specs only; the aggregates are bit-identical at
-//! every width), `--jobs` fixes the
-//! process-wide executor pool width (cells complete in any order, but
-//! the table, totals, and JSON are byte-identical at every job count),
+//! (sweep cells still derive theirs from the sweep stream), `--jobs`
+//! fixes the process-wide executor pool width, the only parallelism
+//! knob (at most 1024; cells complete in any order, but the table,
+//! totals, and JSON are byte-identical at every job count),
 //! `--verbose` streams per-cell completions (with each cell's own
 //! elapsed time) and the executor's counters to stderr, `--out` writes
 //! JSON. The closing `N simulated rounds in X s` line reports the
@@ -43,8 +41,8 @@ use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const USAGE: &str = "experiment <spec.toml> [--rounds N] [--trials N] [--threads N] [--jobs N] \
-                     [--seed S] [--batch W] [--out PATH] [--verbose]";
+const USAGE: &str = "experiment <spec.toml> [--rounds N] [--trials N] [--jobs N] [--seed S] \
+                     [--out PATH] [--verbose]";
 
 /// Standard output that goes quiet once the reader hangs up: the first
 /// `BrokenPipe` turns every later write into a no-op instead of a
@@ -93,10 +91,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         &[
             "--rounds",
             "--trials",
-            "--threads",
             "--jobs",
             "--seed",
-            "--batch",
             "--out",
             "--verbose",
         ],
@@ -112,14 +108,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .ok_or_else(|| format!("missing spec path; usage: {USAGE}"))?;
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = ExperimentSpec::parse(&source).map_err(|e| format!("{path}: {e}"))?;
-    experiment::apply_budget(
-        &mut spec,
-        args.rounds,
-        args.trials,
-        args.threads,
-        args.seed,
-        args.batch,
-    );
+    experiment::apply_budget(&mut spec, args.rounds, args.trials, args.seed);
     // A budget override can invalidate the spec (`--trials 0`); say so
     // before printing anything.
     spec.validate()?;

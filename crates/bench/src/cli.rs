@@ -3,7 +3,7 @@
 //! Every binary used to hand-roll its own `std::env::args` loop
 //! (twelve near-copies across `src/bin/`); this module centralises the
 //! common vocabulary — positional budgets plus the
-//! `--threads`/`--seed`/`--budget`/`--out` flag family — with one
+//! `--jobs`/`--seed`/`--budget`/`--out` flag family — with one
 //! error style and per-binary opt-in, so an unsupported flag fails
 //! loudly instead of being silently ignored.
 //!
@@ -11,7 +11,7 @@
 //! let args = consistency_bench::cli::Args::parse(
 //!     "[rounds-per-trial] [trials]",
 //!     2, // at most two positionals
-//!     &["--threads", "--seed"],
+//!     &["--jobs", "--seed"],
 //! )?;
 //! let rounds = args.pos_u64(0)?.unwrap_or(30_000);
 //! let trials = args.pos_u64(1)?.unwrap_or(5);
@@ -19,18 +19,16 @@
 //! ```
 
 /// Flags a binary may opt into (`Args::parse`'s `allowed` list).
-/// Value-taking: `--threads N`, `--jobs N`, `--seed N`, `--budget N`,
-/// `--rounds N`, `--trials N`, `--batch N`, `--out PATH`,
+/// Value-taking: `--jobs N`, `--seed N`, `--budget N`,
+/// `--rounds N`, `--trials N`, `--out PATH`,
 /// `--replay PATH`, `--write [PATH]`, `--check [PATH]`. Boolean:
 /// `--seed-from-env`, `--verbose`.
 pub const KNOWN_FLAGS: &[&str] = &[
-    "--threads",
     "--jobs",
     "--seed",
     "--budget",
     "--rounds",
     "--trials",
-    "--batch",
     "--out",
     "--replay",
     "--write",
@@ -38,6 +36,10 @@ pub const KNOWN_FLAGS: &[&str] = &[
     "--seed-from-env",
     "--verbose",
 ];
+
+/// The widest `--jobs` pool accepted. A wider request is refused at
+/// parse time, before any worker thread is spawned.
+pub const MAX_JOBS: usize = 1024;
 
 /// Flags whose value may be omitted (a following flag or end-of-args
 /// leaves them at their default path).
@@ -51,11 +53,8 @@ const BOOL_FLAGS: &[&str] = &["--seed-from-env", "--verbose"];
 pub struct Args {
     /// Non-flag arguments, in order.
     pub positionals: Vec<String>,
-    /// `--threads N`: pool slots per cell's trial fan-out (0 = the
-    /// shared pool's width).
-    pub threads: Option<usize>,
-    /// `--jobs N`: width of the process-wide executor pool — the only
-    /// OS-thread knob (0 = one worker per CPU).
+    /// `--jobs N`: width of the process-wide executor pool, the only
+    /// parallelism knob (0 = one worker per CPU; at most [`MAX_JOBS`]).
     pub jobs: Option<usize>,
     /// `--seed N`: master-seed override.
     pub seed: Option<u64>,
@@ -65,9 +64,6 @@ pub struct Args {
     pub rounds: Option<u64>,
     /// `--trials N`: trial-count override.
     pub trials: Option<u64>,
-    /// `--batch N`: block-width override, consecutive trials per pool
-    /// unit (1 = one trial per unit).
-    pub batch: Option<u64>,
     /// `--out PATH`: machine-readable output path.
     pub out: Option<String>,
     /// `--replay PATH`: a saved repro spec to re-run.
@@ -92,7 +88,8 @@ impl Args {
     /// # Errors
     ///
     /// Returns a usage-carrying message for unknown flags, excess
-    /// positionals, missing flag values, or malformed numbers.
+    /// positionals, missing flag values, malformed numbers, or a
+    /// `--jobs` width above [`MAX_JOBS`].
     pub fn parse(usage: &str, max_positionals: usize, allowed: &[&str]) -> Result<Self, String> {
         Self::parse_from(std::env::args().skip(1), usage, max_positionals, allowed)
     }
@@ -164,24 +161,21 @@ impl Args {
                     })
             };
             match arg.as_str() {
-                "--threads" => {
-                    parsed.threads = Some(usize::try_from(number(&value)?).map_err(|_| {
-                        format!(
-                            "`--threads` does not fit usize: {}",
-                            value.unwrap_or_default()
-                        )
-                    })?);
-                }
                 "--jobs" => {
-                    parsed.jobs = Some(usize::try_from(number(&value)?).map_err(|_| {
-                        format!("`--jobs` does not fit usize: {}", value.unwrap_or_default())
-                    })?);
+                    let jobs = number(&value)?;
+                    parsed.jobs = Some(
+                        usize::try_from(jobs)
+                            .ok()
+                            .filter(|&j| j <= MAX_JOBS)
+                            .ok_or_else(|| {
+                                format!("`--jobs` must be at most {MAX_JOBS}, got {jobs}")
+                            })?,
+                    );
                 }
                 "--seed" => parsed.seed = Some(number(&value)?),
                 "--budget" => parsed.budget = Some(number(&value)?),
                 "--rounds" => parsed.rounds = Some(number(&value)?),
                 "--trials" => parsed.trials = Some(number(&value)?),
-                "--batch" => parsed.batch = Some(number(&value)?),
                 "--out" => parsed.out = value,
                 "--replay" => parsed.replay = value,
                 "--write" => parsed.write = Some(value),
@@ -252,14 +246,7 @@ mod tests {
     fn positionals_and_flags_mix() {
         let args = Args::parse_from(
             [
-                "5000",
-                "--threads",
-                "4",
-                "7",
-                "--seed",
-                "99",
-                "--out",
-                "x.json",
+                "5000", "--jobs", "4", "7", "--seed", "99", "--out", "x.json",
             ],
             "usage",
             2,
@@ -270,7 +257,7 @@ mod tests {
         assert_eq!(args.pos_u64(0).unwrap(), Some(5000));
         assert_eq!(args.pos_u64(1).unwrap(), Some(7));
         assert_eq!(args.pos_u64(2).unwrap(), None);
-        assert_eq!(args.threads, Some(4));
+        assert_eq!(args.jobs, Some(4));
         assert_eq!(args.seed, Some(99));
         assert_eq!(args.out.as_deref(), Some("x.json"));
     }
@@ -303,16 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_flag_takes_a_width() {
-        let args = Args::parse_from(["--batch", "8"], "u", 0, ALL).unwrap();
-        assert_eq!(args.batch, Some(8));
-        let err = Args::parse_from(["--batch"], "u", 0, ALL).unwrap_err();
-        assert!(err.contains("needs a value"), "{err}");
-        let err = Args::parse_from(["--batch", "wide"], "u", 0, ALL).unwrap_err();
-        assert!(err.contains("unsigned integer"), "{err}");
-    }
-
-    #[test]
     fn optional_value_flags_allow_bare_use() {
         let args = Args::parse_from(["--check"], "u", 0, ALL).unwrap();
         assert_eq!(args.check, Some(None));
@@ -336,6 +313,17 @@ mod tests {
         assert!(err.contains("needs a value"), "{err}");
         let err = Args::parse_from(["--jobs", "many"], "u", 0, ALL).unwrap_err();
         assert!(err.contains("unsigned integer"), "{err}");
+        // Widths above the cap are refused here, before any binary
+        // could ask the OS for that many threads.
+        let args = Args::parse_from(["--jobs", "1024"], "u", 0, ALL).unwrap();
+        assert_eq!(args.jobs, Some(MAX_JOBS));
+        for wide in ["1025", "100000", "18446744073709551615"] {
+            let err = Args::parse_from(["--jobs", wide], "u", 0, ALL).unwrap_err();
+            assert!(
+                err.contains("at most 1024") && err.contains(wide) && !err.contains('\n'),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ fn experiment_entry_runs_every_committed_spec() {
         let source = std::fs::read_to_string(path).expect("spec readable");
         let mut spec = ExperimentSpec::parse(&source)
             .unwrap_or_else(|e| panic!("{name}: committed spec must parse: {e}"));
-        experiment::apply_budget(&mut spec, Some(200), Some(2), None, None, None);
+        experiment::apply_budget(&mut spec, Some(200), Some(2), None);
         let results = experiment::run_spec(&spec)
             .unwrap_or_else(|e| panic!("{name}: committed spec must run: {e}"));
         assert!(!results.is_empty(), "{name}: at least one cell");
@@ -348,6 +348,17 @@ fn experiment_errors_are_readable() {
         !stderr.contains("Error:") && !stderr.contains("SpecError"),
         "{stderr}"
     );
+    // The retired width flags: `--jobs` is the only parallelism knob.
+    for (flag, value) in [("--threads", "2"), ("--batch", "4")] {
+        let (status, _, stderr) =
+            run_experiment(&[spec.as_os_str(), flag.as_ref(), value.as_ref()]);
+        assert_eq!(status.code(), Some(1), "{flag}: stderr:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("experiment: unknown argument `{flag}`")),
+            "{stderr}"
+        );
+    }
 }
 
 /// `bench_sim`: the throughput harness's workloads at tiny budgets —

@@ -1,17 +1,15 @@
-//! A persistent work-stealing executor shared by every fan-out in the
-//! workspace.
+//! A persistent executor shared by every fan-out in the workspace.
 //!
 //! Before this module existed, every Monte-Carlo trial wave, splitting
 //! stage, and experiment cell spun up its own `std::thread::scope`: a
 //! 100-cell sweep paid 100 rounds of thread churn and got zero
 //! cell-level parallelism. The executor replaces all of those scopes
-//! with **one** long-lived pool of workers (per-worker deques plus a
-//! shared injector, plain `std` only) that outlives any individual
-//! job. Trial waves, splitting stages, exact solves, and whole
-//! experiment cells are all submitted as jobs to the same pool, so
-//! independent sweep cells pipeline across the same workers and grid
-//! wall-clock approaches `max(cell)` instead of `sum(cell)` on a
-//! multi-core host.
+//! with **one** long-lived pool of workers fed from one shared FIFO
+//! queue (plain `std` only) that outlives any individual job. Trial
+//! waves, splitting stages, exact solves, and whole experiment cells
+//! are all submitted as jobs to the same pool, so independent sweep
+//! cells pipeline across the same workers and grid wall-clock
+//! approaches `max(cell)` instead of `sum(cell)` on a multi-core host.
 //!
 //! # Determinism contract
 //!
@@ -22,71 +20,74 @@
 //! index alone by the caller, and results are reduced **in unit-index
 //! order** at the join. Scheduling therefore cannot perturb any
 //! aggregate: outputs are bit-identical for every pool width, job
-//! width, and steal interleaving, which is exactly the contract the
-//! old scoped fan-outs had (see METHODOLOGY.md, "Executor
-//! determinism").
+//! width, and interleaving, which is exactly the contract the old
+//! scoped fan-outs had (see METHODOLOGY.md, "Executor determinism").
 //!
-//! # Task kinds and deadlock freedom
+//! # One scheduling rule
 //!
-//! Tasks come in two kinds. [`TaskKind::Leaf`] tasks (trial-wave
-//! slots, splitting-stage slots) never join anything. A
-//! [`TaskKind::Composite`] task (an experiment cell) may itself submit
-//! leaf jobs and join them. A join never blocks idly while work is
-//! queued: it *helps*, executing queued tasks — leaf tasks always, and
-//! composite tasks only when the job being joined is itself composite
-//! (i.e. the joiner sits at the top of the hierarchy). This bounds the
-//! execution stack to `grid join → cell → wave join → wave slot` and
-//! makes a width-1 pool — or even a pool whose only worker is busy
-//! running the joining cell — complete every job without deadlock,
-//! because the joiner can always run its own outstanding slots inline.
+//! A job of width `w` queues `w − 1` slot tasks and the calling thread
+//! runs the `w`-th slot itself. Every slot, the caller's included, is
+//! the same claim loop over one atomic counter: take the next unit
+//! index, run it, repeat until the counter passes `total`. Between its
+//! own units the caller hands finished results to the streaming
+//! callback. A width-1 job therefore queues nothing and runs entirely
+//! on the caller, without creating the global pool.
+//!
+//! **No join waits forever.** The caller joins only after its own
+//! claim loop has used up the counter, so every unit it still waits on
+//! has already been claimed by another thread and is running there; a
+//! slot task still queued will find the counter used up and return at
+//! once. A unit that submits no job finishes. By induction on nesting
+//! depth, a unit that submits jobs finishes too: each of its joins
+//! waits only on running units one level deeper. So a join never needs
+//! to help run queued work, and a width-1 pool (or one whose only
+//! worker is busy running the joining cell) completes every job.
 //!
 //! # One pool per process
 //!
 //! [`global()`] lazily creates the process-wide pool; its width
 //! defaults to [`std::thread::available_parallelism`] and can be fixed
 //! *before first use* with [`configure_global_width`] (the `--jobs`
-//! CLI flag). Plan-level `threads` knobs no longer spawn OS threads —
-//! they only bound how many pool slots a job occupies — so concurrent
-//! [`crate::spec::ExperimentPlan`]s can no longer oversubscribe the
-//! host: the pool owns every worker thread in the process.
-//!
-//! Jobs whose effective width is 1 (and single-unit jobs) run inline
-//! on the caller thread without touching — or even creating — the
-//! pool, so single-threaded runs keep their exact pre-executor
-//! performance profile.
+//! CLI flag). Plan-level `threads` fields never spawn OS threads —
+//! they only bound how many slots a job occupies — so concurrent
+//! [`crate::spec::ExperimentPlan`]s cannot oversubscribe the host: the
+//! pool owns every worker thread in the process.
 //!
 //! # Panics
 //!
-//! A unit that panics on a pool thread does not take its worker down:
-//! the slot loop catches the unwind, records the first payload in the
-//! job, stops handing out that job's remaining unit indices, and the
-//! join re-raises the payload with [`std::panic::resume_unwind`]. The
-//! caller therefore sees the same panic an inline run (or a scoped
-//! thread join) would give it, and the pool keeps its full width for
-//! the next job.
+//! A unit that panics does not take its thread down: the slot loop
+//! catches the unwind, stops handing out that job's remaining unit
+//! indices, and the join re-raises the first payload with
+//! [`std::panic::resume_unwind`]. The caller therefore sees the same
+//! panic a sequential run would give it, and the pool keeps its full
+//! width for the next job.
 
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::Duration;
 
-/// Which scheduling class a job's tasks belong to.
+/// The kind of work a job's units do. Callers still label their jobs,
+/// but the scheduler no longer reads the label: every job follows the
+/// one rule in the module docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
-    /// Never joins another job; safe for anyone to help-execute.
+    /// Units that never join another job (trial waves, splitting
+    /// stages).
     Leaf,
-    /// May submit and join leaf jobs (an experiment cell). Only joiners
-    /// of composite jobs help-execute these.
+    /// Units that may submit and join jobs of their own (experiment
+    /// cells).
     Composite,
 }
 
 type TaskFn = Box<dyn FnOnce() + Send + 'static>;
 
+/// A queued slot task.
 struct Task {
-    composite: bool,
+    /// The pool worker that queued it, or `None` for any other thread.
+    origin: Option<usize>,
     run: TaskFn,
 }
 
@@ -98,14 +99,13 @@ pub struct ExecutorStats {
     /// Worker threads this pool has ever spawned (== width once the
     /// pool exists; it never grows per job).
     pub threads_spawned: u64,
-    /// Jobs that went through the queues (excludes inline jobs).
+    /// Jobs that queued slot tasks (excludes inline jobs).
     pub jobs_submitted: u64,
     /// Jobs that ran entirely inline on the caller thread.
     pub jobs_inline: u64,
-    /// Tasks executed by workers and helping joiners.
+    /// Slot tasks executed by pool workers.
     pub tasks_executed: u64,
-    /// Tasks taken from another worker's deque or from the injector by
-    /// a thread that did not enqueue them.
+    /// Tasks a worker ran that another thread queued.
     pub steals: u64,
 }
 
@@ -126,18 +126,19 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The shared FIFO queue and the shutdown flag, under one lock.
+#[derive(Default)]
+struct Queue {
+    tasks: VecDeque<Task>,
+    shutdown: bool,
+}
+
 struct Shared {
     /// Pool identity for the thread-local worker tag (distinguishes
     /// pools when unit tests create local ones next to the global).
     id: u64,
-    injector: Mutex<VecDeque<Task>>,
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Queued-but-unclaimed task count; lets sleepy workers re-check
-    /// for work under the sleep lock without scanning every queue.
-    pending: AtomicU64,
-    sleep: Mutex<()>,
+    queue: Mutex<Queue>,
     wake: Condvar,
-    shutdown: AtomicBool,
     stats: Stats,
 }
 
@@ -156,111 +157,40 @@ impl Shared {
         (pool == self.id && idx != usize::MAX).then_some(idx)
     }
 
-    fn submit(&self, task: Task) {
-        match self.worker_index() {
-            Some(me) => lock(&self.deques[me]).push_back(task),
-            None => lock(&self.injector).push_back(task),
-        }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        // Notify under the sleep lock so a worker that just found the
-        // queues empty cannot miss the wakeup.
-        let _guard = lock(&self.sleep);
+    fn submit(&self, tasks: impl Iterator<Item = TaskFn>) {
+        let origin = self.worker_index();
+        let mut queue = lock(&self.queue);
+        queue.tasks.extend(tasks.map(|run| Task { origin, run }));
+        drop(queue);
         self.wake.notify_all();
-    }
-
-    /// Pop the newest task from `deque` if its kind is allowed.
-    fn pop_back_if(&self, deque: &Mutex<VecDeque<Task>>, allow_composite: bool) -> Option<Task> {
-        let mut guard = lock(deque);
-        let ok = guard
-            .back()
-            .is_some_and(|t| allow_composite || !t.composite);
-        if !ok {
-            return None;
-        }
-        let task = guard.pop_back();
-        drop(guard);
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-        task
-    }
-
-    /// Pop the oldest task from `deque` if its kind is allowed.
-    fn pop_front_if(&self, deque: &Mutex<VecDeque<Task>>, allow_composite: bool) -> Option<Task> {
-        let mut guard = lock(deque);
-        let ok = guard
-            .front()
-            .is_some_and(|t| allow_composite || !t.composite);
-        if !ok {
-            return None;
-        }
-        let task = guard.pop_front();
-        drop(guard);
-        self.pending.fetch_sub(1, Ordering::SeqCst);
-        task
-    }
-
-    /// Find a runnable task: own deque (LIFO), then the injector, then
-    /// steal from the other workers (FIFO).
-    fn find_task(&self, allow_composite: bool) -> Option<Task> {
-        let me = self.worker_index();
-        if let Some(i) = me {
-            if let Some(t) = self.pop_back_if(&self.deques[i], allow_composite) {
-                return Some(t);
-            }
-        }
-        if let Some(t) = self.pop_front_if(&self.injector, allow_composite) {
-            if me.is_some() {
-                self.stats.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            return Some(t);
-        }
-        let n = self.deques.len();
-        let start = me.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let victim = (start + k) % n;
-            if Some(victim) == me {
-                continue;
-            }
-            if let Some(t) = self.pop_front_if(&self.deques[victim], allow_composite) {
-                self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    fn run_task(&self, task: Task) {
-        self.stats.tasks_executed.fetch_add(1, Ordering::Relaxed);
-        (task.run)();
     }
 }
 
 fn worker_loop(shared: Arc<Shared>, me: usize) {
     WORKER.set((shared.id, me));
+    let mut queue = lock(&shared.queue);
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if queue.shutdown {
             return;
         }
-        if let Some(task) = shared.find_task(true) {
-            shared.run_task(task);
+        let Some(task) = queue.tasks.pop_front() else {
+            queue = shared
+                .wake
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
             continue;
+        };
+        drop(queue);
+        shared.stats.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        if task.origin != Some(me) {
+            shared.stats.steals.fetch_add(1, Ordering::Relaxed);
         }
-        let guard = lock(&shared.sleep);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if shared.pending.load(Ordering::SeqCst) > 0 {
-            continue; // a submit raced our scan; rescan
-        }
-        // The timeout is a belt-and-braces liveness bound; the submit
-        // path always notifies under the sleep lock.
-        let _ = shared
-            .wake
-            .wait_timeout(guard, Duration::from_millis(50))
-            .unwrap_or_else(PoisonError::into_inner);
+        (task.run)();
+        queue = lock(&shared.queue);
     }
 }
 
-/// The state a job shares between its slot tasks and its joiner.
+/// The state a job shares between its slots and its caller.
 struct JobCore<T> {
     next: AtomicU64,
     total: u64,
@@ -268,16 +198,70 @@ struct JobCore<T> {
     done: Condvar,
 }
 
-/// What slots have handed to the joiner and it has not yet drained.
+/// What worker slots have handed to the caller and it has not yet
+/// drained.
 struct Finished<T> {
     results: Vec<(u64, T)>,
-    /// The first panic payload raised by a unit of this job.
+    /// The first panic payload raised by a unit on a worker.
     panic: Option<Box<dyn Any + Send>>,
 }
 
-/// A work-stealing pool. Most code wants the process-wide [`global()`]
-/// pool (via the free [`run_ordered`] / [`run_ordered_with`]
-/// functions); constructing a local pool is for tests.
+impl<T> JobCore<T> {
+    /// Claim the next unit index, or `None` once the job is used up.
+    fn claim(&self) -> Option<u64> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.total).then_some(i)
+    }
+
+    /// Run unit `i`. A panic ends the job, so no slot claims another
+    /// unit, and comes back as the payload.
+    fn run<F: Fn(u64) -> T>(&self, run_unit: &F, i: u64) -> std::thread::Result<T> {
+        let outcome = catch_unwind(AssertUnwindSafe(|| run_unit(i)));
+        if outcome.is_err() {
+            self.next.store(self.total, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    /// A queued slot: the claim loop, handing each result (or the
+    /// first panic) to the caller.
+    fn slot<F: Fn(u64) -> T>(&self, run_unit: &F) {
+        while let Some(i) = self.claim() {
+            let outcome = self.run(run_unit, i);
+            let mut finished = lock(&self.finished);
+            match outcome {
+                Ok(result) => finished.results.push((i, result)),
+                Err(payload) => {
+                    finished.panic.get_or_insert(payload);
+                }
+            }
+            drop(finished);
+            self.done.notify_one();
+        }
+    }
+
+    /// Take what worker slots have finished, waiting for at least one
+    /// result first if `wait`. Re-raises a worker's panic.
+    fn drain(&self, wait: bool) -> Vec<(u64, T)> {
+        let mut finished = lock(&self.finished);
+        while wait && finished.results.is_empty() && finished.panic.is_none() {
+            finished = self
+                .done
+                .wait(finished)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if let Some(payload) = finished.panic.take() {
+            drop(finished);
+            resume_unwind(payload);
+        }
+        std::mem::take(&mut finished.results)
+    }
+}
+
+/// A pool of worker threads. Most code wants the process-wide
+/// [`global()`] pool (via the free [`run_ordered`] /
+/// [`run_ordered_with`] functions); constructing a local pool is for
+/// tests.
 pub struct Executor {
     shared: Arc<Shared>,
     width: usize,
@@ -296,12 +280,8 @@ impl Executor {
         let width = width.max(1);
         let shared = Arc::new(Shared {
             id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
-            injector: Mutex::new(VecDeque::new()),
-            deques: (0..width).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicU64::new(0),
-            sleep: Mutex::new(()),
+            queue: Mutex::new(Queue::default()),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             stats: Stats::default(),
         });
         let mut handles = Vec::new();
@@ -350,15 +330,15 @@ impl Executor {
         self.run_ordered_with(total, width, kind, run_unit, |_, _| {})
     }
 
-    /// Run units `0..total` of a job, occupying at most `width` pool
-    /// slots, and return the results **in unit-index order** —
-    /// bit-identical for every pool width and steal interleaving.
+    /// Run units `0..total` of a job in at most `width` slots, the
+    /// calling thread's own included, and return the results **in
+    /// unit-index order** — bit-identical for every pool width and
+    /// interleaving. `kind` is not read (see [`TaskKind`]).
     ///
     /// `on_complete(i, &result)` fires on the calling thread once per
     /// unit, in **completion order** (useful for streaming progress);
     /// the returned `Vec` is always in unit order. Jobs with an
-    /// effective width of one run inline on the caller without
-    /// touching the pool.
+    /// effective width of one queue nothing and run on the caller.
     ///
     /// # Panics
     ///
@@ -368,112 +348,83 @@ impl Executor {
         &self,
         total: u64,
         width: usize,
-        kind: TaskKind,
+        _kind: TaskKind,
         run_unit: F,
-        mut on_complete: C,
+        on_complete: C,
     ) -> Vec<T>
     where
         T: Send + 'static,
         F: Fn(u64) -> T + Send + Sync + 'static,
         C: FnMut(u64, &T),
     {
-        if total == 0 {
-            return Vec::new();
-        }
-        let slots = width
-            .min(usize::try_from(total).unwrap_or(usize::MAX))
-            .max(1);
-        if slots == 1 {
-            self.shared
+        run_job(Some(self), total, width, run_unit, on_complete)
+    }
+}
+
+/// The one scheduling rule behind every `run_ordered*` entry point.
+/// `pool` is `None` for the global pool, which is created only when the
+/// job has slot tasks to queue.
+fn run_job<T, F, C>(
+    pool: Option<&Executor>,
+    total: u64,
+    width: usize,
+    run_unit: F,
+    mut on_complete: C,
+) -> Vec<T>
+where
+    T: Send + 'static,
+    F: Fn(u64) -> T + Send + Sync + 'static,
+    C: FnMut(u64, &T),
+{
+    let units = usize::try_from(total).unwrap_or(usize::MAX);
+    let queued = width.min(units).saturating_sub(1);
+    let core = Arc::new(JobCore {
+        next: AtomicU64::new(0),
+        total,
+        finished: Mutex::new(Finished {
+            results: Vec::new(),
+            panic: None,
+        }),
+        done: Condvar::new(),
+    });
+    let run_unit = Arc::new(run_unit);
+    if queued == 0 {
+        if let Some(pool) = pool {
+            pool.shared
                 .stats
                 .jobs_inline
                 .fetch_add(1, Ordering::Relaxed);
-            return run_inline(total, &run_unit, &mut on_complete);
         }
-        self.shared
-            .stats
-            .jobs_submitted
-            .fetch_add(1, Ordering::Relaxed);
-        let core = Arc::new(JobCore {
-            next: AtomicU64::new(0),
-            total,
-            finished: Mutex::new(Finished {
-                results: Vec::new(),
-                panic: None,
-            }),
-            done: Condvar::new(),
-        });
-        let runner = Arc::new(run_unit);
-        for _ in 0..slots {
+    } else {
+        let shared = &pool.unwrap_or_else(|| global()).shared;
+        shared.stats.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        shared.submit((0..queued).map(|_| {
             let core = Arc::clone(&core);
-            let runner = Arc::clone(&runner);
-            self.shared.submit(Task {
-                composite: kind == TaskKind::Composite,
-                // Each slot pulls unit indices until the job is
-                // exhausted — the same pull loop the scoped fan-outs
-                // used, so work distribution semantics are unchanged.
-                // A panicking unit ends the job: its payload is kept
-                // for the joiner and no further indices are handed out.
-                run: Box::new(move || loop {
-                    let i = core.next.fetch_add(1, Ordering::Relaxed);
-                    if i >= core.total {
-                        break;
-                    }
-                    let outcome = catch_unwind(AssertUnwindSafe(|| runner(i)));
-                    let mut finished = lock(&core.finished);
-                    match outcome {
-                        Ok(result) => finished.results.push((i, result)),
-                        Err(payload) => {
-                            finished.panic.get_or_insert(payload);
-                            core.next.store(core.total, Ordering::Relaxed);
-                        }
-                    }
-                    core.done.notify_all();
-                }),
-            });
-        }
-        // Join: drain finished units, help-execute queued tasks while
-        // any remain, park briefly otherwise. Helping is what makes a
-        // narrow pool deadlock-free (see module docs). A unit's panic
-        // is re-raised here, on the caller.
-        let allow_composite = kind == TaskKind::Composite;
-        let mut out: Vec<Option<T>> = (0..total).map(|_| None).collect();
-        let mut collected: u64 = 0;
-        while collected < total {
-            let drained: Vec<(u64, T)> = {
-                let mut finished = lock(&core.finished);
-                if let Some(payload) = finished.panic.take() {
-                    resume_unwind(payload);
-                }
-                std::mem::take(&mut finished.results)
-            };
-            if !drained.is_empty() {
-                for (i, result) in drained {
-                    on_complete(i, &result);
-                    out[usize::try_from(i).unwrap_or(usize::MAX)] = Some(result);
-                    collected += 1;
-                }
-                continue;
-            }
-            if let Some(task) = self.shared.find_task(allow_composite) {
-                self.shared.run_task(task);
-                continue;
-            }
-            let finished = lock(&core.finished);
-            if finished.results.is_empty() && finished.panic.is_none() {
-                let _ = core
-                    .done
-                    .wait_timeout(finished, Duration::from_millis(1))
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        }
-        out.into_iter()
-            .map(|slot| match slot {
-                Some(result) => result,
-                None => panic!("executor: a unit index produced no result"), // detlint: allow(panic-macro) -- the join loop counts exactly one pushed result per unit index before exiting
-            })
-            .collect()
+            let run_unit = Arc::clone(&run_unit);
+            Box::new(move || core.slot(&*run_unit)) as TaskFn
+        }));
     }
+    let mut out = Vec::with_capacity(units);
+    let mut deliver = |(i, result): (u64, T), out: &mut Vec<(u64, T)>| {
+        on_complete(i, &result);
+        out.push((i, result));
+    };
+    // The caller's own slot, streaming worker results between units.
+    while let Some(i) = core.claim() {
+        let result = core.run(&*run_unit, i).unwrap_or_else(|p| resume_unwind(p));
+        deliver((i, result), &mut out);
+        for done in core.drain(false) {
+            deliver(done, &mut out);
+        }
+    }
+    // The join: every unit still missing is running on another thread.
+    while out.len() < units {
+        for done in core.drain(true) {
+            deliver(done, &mut out);
+        }
+    }
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, result)| result).collect()
 }
 
 impl Drop for Executor {
@@ -481,37 +432,24 @@ impl Drop for Executor {
         if self.handles.is_empty() {
             return; // detached (global) pool: workers live for the process
         }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _guard = lock(&self.shared.sleep);
-            self.shared.wake.notify_all();
-        }
+        lock(&self.shared.queue).shutdown = true;
+        self.shared.wake.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn run_inline<T, F, C>(total: u64, run_unit: &F, on_complete: &mut C) -> Vec<T>
-where
-    F: Fn(u64) -> T,
-    C: FnMut(u64, &T),
-{
-    (0..total)
-        .map(|i| {
-            let result = run_unit(i);
-            on_complete(i, &result);
-            result
-        })
-        .collect()
-}
-
 static GLOBAL: OnceLock<Executor> = OnceLock::new();
 static CONFIGURED_WIDTH: AtomicU64 = AtomicU64::new(0);
 static GLOBAL_POOLS_CREATED: AtomicU64 = AtomicU64::new(0);
 
-fn default_width() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
+/// The width [`configure_global_width`] fixed, or one worker per CPU.
+fn configured_width() -> usize {
+    match usize::try_from(CONFIGURED_WIDTH.load(Ordering::SeqCst)).unwrap_or(0) {
+        0 => std::thread::available_parallelism().map_or(1, usize::from),
+        width => width,
+    }
 }
 
 /// Fix the global pool's width (0 = auto-detect) **before first use**.
@@ -527,28 +465,14 @@ pub fn configure_global_width(width: usize) -> bool {
 pub fn global() -> &'static Executor {
     GLOBAL.get_or_init(|| {
         GLOBAL_POOLS_CREATED.fetch_add(1, Ordering::SeqCst);
-        let configured = usize::try_from(CONFIGURED_WIDTH.load(Ordering::SeqCst)).unwrap_or(0);
-        let width = if configured == 0 {
-            default_width()
-        } else {
-            configured
-        };
-        Executor::build(width, true)
+        Executor::build(configured_width(), true)
     })
 }
 
 /// The width the global pool has — or would have, if it has not been
 /// created yet. Never creates the pool.
 pub fn global_width() -> usize {
-    if let Some(pool) = GLOBAL.get() {
-        return pool.width();
-    }
-    let configured = usize::try_from(CONFIGURED_WIDTH.load(Ordering::SeqCst)).unwrap_or(0);
-    if configured == 0 {
-        default_width()
-    } else {
-        configured
-    }
+    GLOBAL.get().map_or_else(configured_width, Executor::width)
 }
 
 /// [`ExecutorStats`] for the global pool; all-zero if it has never
@@ -564,7 +488,7 @@ pub fn global_pools_created() -> u64 {
 }
 
 /// [`Executor::run_ordered`] on the global pool. Width-1 and
-/// single-unit jobs run inline without creating the pool.
+/// single-unit jobs run on the caller without creating the pool.
 pub fn run_ordered<T, F>(total: u64, width: usize, kind: TaskKind, run_unit: F) -> Vec<T>
 where
     T: Send + 'static,
@@ -574,35 +498,27 @@ where
 }
 
 /// [`Executor::run_ordered_with`] on the global pool. Width-1 and
-/// single-unit jobs run inline without creating the pool.
+/// single-unit jobs run on the caller without creating the pool.
 pub fn run_ordered_with<T, F, C>(
     total: u64,
     width: usize,
-    kind: TaskKind,
+    _kind: TaskKind,
     run_unit: F,
-    mut on_complete: C,
+    on_complete: C,
 ) -> Vec<T>
 where
     T: Send + 'static,
     F: Fn(u64) -> T + Send + Sync + 'static,
     C: FnMut(u64, &T),
 {
-    if total == 0 {
-        return Vec::new();
-    }
-    let slots = width
-        .min(usize::try_from(total).unwrap_or(usize::MAX))
-        .max(1);
-    if slots == 1 {
-        return run_inline(total, &run_unit, &mut on_complete);
-    }
-    global().run_ordered_with(total, width, kind, run_unit, on_complete)
+    run_job(None, total, width, run_unit, on_complete)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     #[test]
     fn ordered_results_match_inline_for_every_width() {
@@ -654,9 +570,9 @@ mod tests {
         assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
     }
 
-    /// The deadlock regression the helping join exists for: a width-1
-    /// pool runs composite tasks that each submit and join a nested
-    /// leaf job on the same pool.
+    /// The nesting deadlock regression: a width-1 pool runs composite
+    /// tasks that each submit and join a nested leaf job on the same
+    /// pool, whose only worker is busy running the joining cell.
     #[test]
     fn nested_leaf_jobs_inside_composites_complete_on_a_width_1_pool() {
         let pool = Arc::new(Executor::new(1));
@@ -702,6 +618,16 @@ mod tests {
             .is_some_and(|name| name.starts_with("sim-exec-"))
     }
 
+    /// Run `f` on a helper thread and return its result, or `None` if
+    /// it did not finish within the timeout (a hung join).
+    fn on_helper<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> Option<R> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(30)).ok()
+    }
+
     /// Join a 16-unit, width-2 job on `pool` from a helper thread and
     /// return the join's outcome and whether a pool worker ran a unit,
     /// or `None` if the join did not finish within the timeout. Units
@@ -712,8 +638,7 @@ mod tests {
         panic_on_worker: bool,
     ) -> Option<(std::thread::Result<Vec<u64>>, bool)> {
         let pool = Arc::clone(pool);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
+        on_helper(move || {
             let worker_ran = Arc::new(AtomicBool::new(false));
             let flag = Arc::clone(&worker_ran);
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -734,9 +659,8 @@ mod tests {
                     i
                 })
             }));
-            let _ = tx.send((outcome, worker_ran.load(Ordering::SeqCst)));
-        });
-        rx.recv_timeout(Duration::from_secs(30)).ok()
+            (outcome, worker_ran.load(Ordering::SeqCst))
+        })
     }
 
     /// A unit panicking on a pool worker must reach the joiner as the
@@ -757,6 +681,44 @@ mod tests {
         assert_eq!(got, (0..16).collect::<Vec<u64>>());
         assert!(worker_ran, "a pool worker must still be taking units");
         assert_eq!(pool.stats().threads_spawned, 2);
+    }
+
+    /// A unit panicking in the caller's own slot, while another unit
+    /// runs on a worker, must reach the caller as the same panic and
+    /// must not cost the pool a worker.
+    #[test]
+    fn caller_slot_panic_reaches_the_joiner_and_the_pool_survives() {
+        let pool = Arc::new(Executor::new(1));
+        // The worker's first unit and the caller's first unit meet
+        // here, so each side is mid-unit when the caller's unit fails.
+        let meet = Arc::new(std::sync::Barrier::new(2));
+        let worker_met = Arc::new(AtomicBool::new(false));
+        let job = Arc::clone(&pool);
+        let outcome = on_helper(move || {
+            catch_unwind(AssertUnwindSafe(|| {
+                job.run_ordered(16, 2, TaskKind::Leaf, move |i| {
+                    if !on_pool_worker() {
+                        meet.wait();
+                        panic!("unit failed in the caller's slot");
+                    }
+                    if !worker_met.swap(true, Ordering::SeqCst) {
+                        meet.wait();
+                    }
+                    i
+                })
+            }))
+        })
+        .expect("the join hung instead of re-raising the caller's panic");
+        let payload = outcome.expect_err("the caller's panic must re-raise at the join");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"unit failed in the caller's slot")
+        );
+        let (outcome, worker_ran) = join_from_helper(&pool, false).expect("the follow-up job hung");
+        let got = outcome.expect("the follow-up job must not panic");
+        assert_eq!(got, (0..16).collect::<Vec<u64>>());
+        assert!(worker_ran, "a pool worker must still be taking units");
+        assert_eq!(pool.stats().threads_spawned, 1);
     }
 
     #[test]

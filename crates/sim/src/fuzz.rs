@@ -125,7 +125,6 @@ impl FuzzFailure {
         ExperimentSpec {
             run: RunSettings {
                 trials: 2,
-                threads: 0,
                 thresholds: vec![6],
                 ..RunSettings::default()
             },

@@ -14,7 +14,7 @@
 //!   order, so [`run_trials`] returns a bit-identical
 //!   [`TrialAggregate`] for 1, 2 or 64 worker threads.
 //! * **No new dependencies** — trial slots submitted to the shared
-//!   [`crate::executor`] pool (plain `std`, per-worker deques over an
+//!   [`crate::executor`] pool (plain `std`, one FIFO queue over an
 //!   atomic work counter); no rayon, no channels.
 //!
 //! # Example
