@@ -30,8 +30,10 @@
 //! and exits 0.
 //!
 //! `--out PATH` is opened before anything is simulated, so an
-//! unwritable path fails at once rather than after the run. Errors are
-//! printed as one `experiment: …` line on stderr, with exit code 1.
+//! unwritable path fails at once rather than after the run; it is
+//! opened only after every sweep cell has been decoded, so an invalid
+//! spec leaves an existing file untouched. Errors are printed as one
+//! `experiment: …` line on stderr, with exit code 1.
 
 use consistency_bench::{cli, experiment};
 use nakamoto_sim::executor;
@@ -109,9 +111,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let source = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut spec = ExperimentSpec::parse(&source).map_err(|e| format!("{path}: {e}"))?;
     experiment::apply_budget(&mut spec, args.rounds, args.trials, args.seed);
-    // A budget override can invalidate the spec (`--trials 0`); say so
-    // before printing anything.
+    // A budget override can invalidate the spec (`--trials 0`), and so
+    // can a sweep cell: say so before printing anything or touching
+    // --out.
     spec.validate()?;
+    let cells = spec.expand()?;
     // Open --out before simulating: a bad path must not cost a run.
     let out_file = match &args.out {
         Some(out_path) => Some(File::create(out_path).map_err(|e| format!("{out_path}: {e}"))?),
@@ -121,11 +125,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::path::Path::new(path)
         .file_stem()
         .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());
-    let shape = spec.sweep_shape();
-    let cells: usize = shape.iter().product::<usize>().max(1);
+    let total = cells.len();
     let mut out = QuietStdout::default();
     let title = format!(
-        "Experiment `{name}`: {cells} cell(s), {} trial(s) per cell",
+        "Experiment `{name}`: {total} cell(s), {} trial(s) per cell",
         spec.run.trials
     );
     writeln!(out, "\n{title}\n{}", "=".repeat(title.len()))?;
@@ -140,12 +143,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let verbose = args.verbose;
     let jobs = args.jobs.unwrap_or(0);
     let started = Instant::now();
-    let results = experiment::run_spec_streaming(&spec, jobs, |index, cell| {
+    let results = experiment::run_cells_streaming(cells, jobs, |index, cell| {
         if verbose {
             // Completion order, to stderr: the stdout table and JSON
             // stay byte-identical with and without --verbose.
             eprintln!(
-                "cell {}/{cells} done in {:.1} ms: [{}]",
+                "cell {}/{total} done in {:.1} ms: [{}]",
                 index + 1,
                 cell.estimate.elapsed_secs() * 1e3,
                 cell.labels.join(", ")

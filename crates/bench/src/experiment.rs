@@ -83,10 +83,27 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<Vec<CellResult>, SpecError> {
     run_spec_streaming(spec, 0, |_, _| {})
 }
 
-/// Expands a spec and submits **all cells at once** as one composite
-/// job on the shared [`nakamoto_sim::executor`] pool, so independent
-/// cells pipeline across the same workers and grid wall-clock
-/// approaches `max(cell)` instead of `sum(cell)` on a multi-core host.
+/// Expands a spec and runs its cells with [`run_cells_streaming`].
+///
+/// # Errors
+///
+/// Returns [`SpecError`] if expansion or per-cell validation fails
+/// (the earliest failing cell in sweep order wins).
+pub fn run_spec_streaming<C>(
+    spec: &ExperimentSpec,
+    jobs: usize,
+    on_cell: C,
+) -> Result<Vec<CellResult>, SpecError>
+where
+    C: FnMut(usize, &CellResult),
+{
+    run_cells_streaming(spec.expand()?, jobs, on_cell)
+}
+
+/// Submits **all expanded cells at once** as one composite job on the
+/// shared [`nakamoto_sim::executor`] pool, so independent cells
+/// pipeline across the same workers and grid wall-clock approaches
+/// `max(cell)` instead of `sum(cell)` on a multi-core host.
 ///
 /// `jobs` bounds how many cells occupy pool slots concurrently; `0`
 /// uses the pool's own width (the `--jobs` CLI flag routes here).
@@ -99,17 +116,16 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<Vec<CellResult>, SpecError> {
 ///
 /// # Errors
 ///
-/// Returns [`SpecError`] if expansion or per-cell validation fails
-/// (the earliest failing cell in sweep order wins).
-pub fn run_spec_streaming<C>(
-    spec: &ExperimentSpec,
+/// Returns [`SpecError`] if a cell's plan fails validation (the
+/// earliest failing cell in sweep order wins).
+pub fn run_cells_streaming<C>(
+    cells: Vec<ExperimentCell>,
     jobs: usize,
     mut on_cell: C,
 ) -> Result<Vec<CellResult>, SpecError>
 where
     C: FnMut(usize, &CellResult),
 {
-    let cells = spec.expand()?;
     let total = cells.len() as u64;
     let width = if jobs == 0 {
         executor::global_width()

@@ -185,9 +185,11 @@ fn scenario_fuzz_replay_entry() {
 }
 
 /// `experiment`: golden-file smoke — every committed spec under
-/// `examples/specs/` parses, expands, runs at a tiny budget, and
-/// renders well-formed JSON; the theorem1_check spec's JSON must carry
-/// the theorem-1 analytic bound alongside the simulated Wilson CI.
+/// `examples/specs/` parses, round-trips exactly through `to_toml`
+/// (sweep expansion decodes that output, so the cells must match too),
+/// runs at a tiny budget, and renders well-formed JSON; the
+/// theorem1_check spec's JSON must carry the theorem-1 analytic bound
+/// alongside the simulated Wilson CI.
 #[test]
 fn experiment_entry_runs_every_committed_spec() {
     use consistency_bench::experiment;
@@ -225,6 +227,9 @@ fn experiment_entry_runs_every_committed_spec() {
         let source = std::fs::read_to_string(path).expect("spec readable");
         let mut spec = ExperimentSpec::parse(&source)
             .unwrap_or_else(|e| panic!("{name}: committed spec must parse: {e}"));
+        let reparsed = ExperimentSpec::parse(&spec.to_toml()).expect("canonical form parses");
+        assert_eq!(spec, reparsed, "{name}: to_toml round trip");
+        assert_eq!(spec.expand().unwrap(), reparsed.expand().unwrap(), "{name}");
         experiment::apply_budget(&mut spec, Some(200), Some(2), None);
         let results = experiment::run_spec(&spec)
             .unwrap_or_else(|e| panic!("{name}: committed spec must run: {e}"));
@@ -325,6 +330,38 @@ fn experiment_fails_fast_on_an_unwritable_out_path() {
     assert!(
         stderr.starts_with("experiment: ") && stderr.contains("x.json"),
         "{stderr}"
+    );
+}
+
+/// A sweep cell that fails to decode stops the run before anything is
+/// printed or `--out` is opened: an existing output file keeps its
+/// bytes.
+#[test]
+fn experiment_rejects_an_invalid_sweep_cell_before_output() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("invalid-cell");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../examples/specs/rare_event.toml");
+    let source = std::fs::read_to_string(committed).expect("spec readable")
+        + "\n[sweep]\nseed = 1\n\n[[sweep.axis]]\nlabel = \"effort\"\n\n\
+           [[sweep.axis.cell]]\nlabel = \"zero\"\npatch = { \"experiment.splitting_effort\" = 0 }\n";
+    let spec = dir.join("bad_cell.toml");
+    std::fs::write(&spec, source).expect("spec written");
+    let out = dir.join("previous.json");
+    std::fs::write(&out, "previous run\n").expect("out written");
+    let (status, stdout, stderr) =
+        run_experiment(&[spec.as_os_str(), "--out".as_ref(), out.as_os_str()]);
+    assert_eq!(status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(stdout.is_empty(), "no table before the failure:\n{stdout}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.starts_with("experiment: spec: sweep cell `zero`: ")
+            && stderr.contains("must be at least 1"),
+        "{stderr}"
+    );
+    assert_eq!(
+        std::fs::read(&out).expect("out readable"),
+        b"previous run\n"
     );
 }
 

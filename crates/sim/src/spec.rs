@@ -24,10 +24,11 @@
 //!   engine — a single-phase special case kept explicit so spec-driven
 //!   runs stay bit-identical to the pre-spec harness binaries);
 //! * `[[composition]]` — the table [`StrategyKind::Composed`] indexes;
-//! * `[sweep]` — an optional grid: ordered axes of labelled cells,
-//!   each cell a set of *patches* (dotted paths into the spec) applied
-//!   in odometer order, with per-cell master seeds drawn from one
-//!   SplitMix64 stream so no two cells share randomness;
+//! * `[sweep]` — an optional grid: ordered axes of labelled cells in
+//!   odometer order, each cell a set of *patches* (`table.key` or
+//!   `array.N.key` paths into the document), with per-cell master
+//!   seeds drawn from one SplitMix64 stream so no two cells share
+//!   randomness;
 //! * `[fuzz]` — optional replay coordinates written by the scenario
 //!   fuzzer so a repro document is directly runnable.
 //!
@@ -35,7 +36,15 @@
 //! values are rejected with a [`SpecError`] carrying the offending
 //! line. Serialization ([`ExperimentSpec::to_toml`]) emits a canonical
 //! document that parses back to an equal spec (round-trip tested on
-//! randomized specs).
+//! randomized specs, and on every committed spec by the bench smoke
+//! tests).
+//!
+//! A document is parsed in two steps: the TOML subset into a table of
+//! values, then one decoder that knows every key's type and range.
+//! Sweep cells go through the same decoder. [`ExperimentSpec::expand`]
+//! serializes the sweep-free base spec, writes each cell's patches into
+//! a copy of that document, and decodes the copy, so a patched key is
+//! checked exactly like a hand-written one.
 //!
 //! # Example
 //!
@@ -253,6 +262,24 @@ impl SpecTable {
         Ok(())
     }
 
+    fn get_mut(&mut self, key: &str) -> Option<&mut SpecValue> {
+        let entry = self.entries.iter_mut().find(|e| e.key == key)?;
+        Some(&mut entry.value)
+    }
+
+    /// Replaces `key`'s value in place, or appends the key (with no
+    /// source line) when the table lacks it.
+    fn set(&mut self, key: &str, value: SpecValue) {
+        match self.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => self.entries.push(SpecEntry {
+                key: key.to_owned(),
+                line: 0,
+                value,
+            }),
+        }
+    }
+
     fn take(&mut self, key: &str) -> Option<(usize, SpecValue)> {
         let at = self.entries.iter().position(|e| e.key == key)?;
         let entry = self.entries.remove(at);
@@ -289,15 +316,13 @@ impl SpecTable {
     fn take_f64(&mut self, key: &str) -> Result<Option<(usize, f64)>, SpecError> {
         match self.take(key) {
             None => Ok(None),
-            Some((line, value)) => {
-                let v = value_as_f64(&value).ok_or_else(|| {
-                    SpecError::new(
-                        line,
-                        format!("`{key}` must be a number, got a {}", value.type_name()),
-                    )
-                })?;
-                Ok(Some((line, v)))
-            }
+            Some((line, SpecValue::Float(f))) => Ok(Some((line, f))),
+            #[allow(clippy::cast_precision_loss)]
+            Some((line, SpecValue::Int(i))) => Ok(Some((line, i as f64))),
+            Some((line, other)) => Err(SpecError::new(
+                line,
+                format!("`{key}` must be a number, got a {}", other.type_name()),
+            )),
         }
     }
 
@@ -321,6 +346,28 @@ impl SpecTable {
                 format!("`{key}` must be an array, got a {}", other.type_name()),
             )),
         }
+    }
+
+    fn take_u64_list(&mut self, key: &str) -> Result<Option<Vec<u64>>, SpecError> {
+        let Some((line, items)) = self.take_array(key)? else {
+            return Ok(None);
+        };
+        let list = items
+            .iter()
+            .map(|item| match item {
+                SpecValue::Int(i) => u64::try_from(*i).map_err(|_| {
+                    SpecError::new(line, format!("`{key}` entries must be unsigned integers"))
+                }),
+                other => Err(SpecError::new(
+                    line,
+                    format!(
+                        "`{key}` entries must be integers, got a {}",
+                        other.type_name()
+                    ),
+                )),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Some(list))
     }
 
     fn take_table(&mut self, key: &str) -> Result<Option<(usize, SpecTable)>, SpecError> {
@@ -358,15 +405,6 @@ impl SpecTable {
                 ),
             )),
         }
-    }
-}
-
-fn value_as_f64(value: &SpecValue) -> Option<f64> {
-    match value {
-        SpecValue::Float(f) => Some(*f),
-        #[allow(clippy::cast_precision_loss)]
-        SpecValue::Int(i) => Some(*i as f64),
-        _ => None,
     }
 }
 
@@ -719,6 +757,79 @@ fn parse_document(input: &str) -> Result<SpecTable, SpecError> {
 }
 
 // ---------------------------------------------------------------------
+// Sweep patches
+// ---------------------------------------------------------------------
+
+/// Writes one sweep patch into a spec document. `path` is `table.key`
+/// or `array.N.key`: the table, or the `N`-th `[[array]]` entry, must
+/// already exist, and `key` is set whether or not it is there yet.
+/// Nothing is checked here: the decoder checks the patched document as
+/// it checks a hand-written one. Two rules are views rather than keys:
+///
+/// * `base.c` and `base.hardness` each remove the other, so `c` is
+///   converted against the cell's final `n_miners` and `delta`;
+/// * `composition.N.weights` and `composition.N.strategies` write one
+///   column of that entry's `subs`, one array item per sub.
+fn set_path(root: &mut SpecTable, path: &str, value: SpecValue) -> Result<(), SpecError> {
+    let unknown = || SpecError::whole(format!("unknown patch path `{path}`"));
+    let segments: Vec<&str> = path.split('.').collect();
+    let (section, table, key) = match segments.as_slice() {
+        [name, key] => match root.get_mut(name) {
+            Some(SpecValue::Table(table)) => (*name, table, *key),
+            _ => return Err(unknown()),
+        },
+        [name, index, key] => {
+            let entry = match (root.get_mut(name), index.parse::<usize>()) {
+                (Some(SpecValue::Array(items)), Ok(i)) => items.get_mut(i),
+                _ => None,
+            };
+            match entry {
+                Some(SpecValue::Table(table)) => (*name, table, *key),
+                _ => return Err(unknown()),
+            }
+        }
+        _ => return Err(unknown()),
+    };
+    let column = match (section, key) {
+        ("base", "c") => {
+            table.take("hardness");
+            None
+        }
+        ("base", "hardness") => {
+            table.take("c");
+            None
+        }
+        ("composition", "weights") => Some("weight"),
+        ("composition", "strategies") => Some("strategy"),
+        _ => None,
+    };
+    let Some(field) = column else {
+        table.set(key, value);
+        return Ok(());
+    };
+    let (Some(SpecValue::Array(subs)), SpecValue::Array(items)) = (table.get_mut("subs"), &value)
+    else {
+        return Err(SpecError::whole(format!(
+            "patch `{path}` needs an array with one item per sub, got a {}",
+            value.type_name()
+        )));
+    };
+    if items.len() != subs.len() {
+        return Err(SpecError::whole(format!(
+            "patch `{path}` has {} items for {} subs",
+            items.len(),
+            subs.len()
+        )));
+    }
+    for (sub, item) in subs.iter_mut().zip(items) {
+        if let SpecValue::Table(sub) = sub {
+            sub.set(field, item.clone());
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // Strategy / regime tokens (the spec's canonical vocabulary)
 // ---------------------------------------------------------------------
 
@@ -774,13 +885,30 @@ pub fn parse_regime(token: &str) -> Option<Regime> {
     }
 }
 
+/// Decodes a phase or stationary `strategy` token read at `line`; a
+/// `composed(i)` must index into a table of `compositions` entries.
+fn decode_strategy(
+    line: usize,
+    token: &str,
+    compositions: usize,
+) -> Result<StrategyKind, SpecError> {
+    match parse_strategy(token) {
+        None => Err(SpecError::new(line, format!("unknown strategy `{token}`"))),
+        Some(StrategyKind::Composed(i)) if i >= compositions => Err(SpecError::new(
+            line,
+            format!("`composed({i})` indexes past the composition table (len {compositions})"),
+        )),
+        Some(strategy) => Ok(strategy),
+    }
+}
+
 // ---------------------------------------------------------------------
 // The experiment model
 // ---------------------------------------------------------------------
 
 /// An unrecognised spec token for one of the closed vocabularies
 /// ([`EstimatorKind`], [`BackendKind`]) — the shared `FromStr` error,
-/// so codec, patch, and CLI paths emit one message shape.
+/// so codec and CLI paths emit one message shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownToken {
     /// What kind of token was expected (e.g. `"estimator"`).
@@ -946,13 +1074,13 @@ pub enum ExperimentMode {
     },
 }
 
-/// One sweep cell: a label plus the patches (dotted spec paths →
+/// One sweep cell: a label plus the patches (dotted document paths →
 /// values) distinguishing it from the base spec.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepCell {
     /// Cell label, shown in tables and JSON.
     pub label: String,
-    /// Patches applied to the base spec, in order.
+    /// Patches written into the base document, in order.
     pub patches: Vec<(String, SpecValue)>,
 }
 
@@ -1305,11 +1433,16 @@ impl ExperimentSpec {
     /// Returns a positioned [`SpecError`] on malformed syntax, unknown
     /// or duplicate keys, and out-of-range values.
     pub fn parse(input: &str) -> Result<Self, SpecError> {
-        let mut root = parse_document(input)?;
+        Self::decode(parse_document(input)?)
+    }
 
+    /// Decodes and validates a parsed document: the one place that
+    /// knows each key's type and range, shared by [`ExperimentSpec::parse`]
+    /// and every sweep cell [`ExperimentSpec::expand`] builds.
+    fn decode(mut root: SpecTable) -> Result<Self, SpecError> {
         // [experiment]
         let mut run = RunSettings::default();
-        let mut backend_line = None;
+        let mut backend_line = 0;
         if let Some((_, mut table)) = root.take_table("experiment")? {
             if let Some((line, trials)) = table.take_u64("trials")? {
                 if trials == 0 {
@@ -1317,22 +1450,8 @@ impl ExperimentSpec {
                 }
                 run.trials = trials;
             }
-            if let Some((line, items)) = table.take_array("thresholds")? {
-                run.thresholds = items
-                    .iter()
-                    .map(|item| match item {
-                        SpecValue::Int(i) => u64::try_from(*i).map_err(|_| {
-                            SpecError::new(line, "`thresholds` entries must be unsigned integers")
-                        }),
-                        other => Err(SpecError::new(
-                            line,
-                            format!(
-                                "`thresholds` entries must be integers, got a {}",
-                                other.type_name()
-                            ),
-                        )),
-                    })
-                    .collect::<Result<_, _>>()?;
+            if let Some(thresholds) = table.take_u64_list("thresholds")? {
+                run.thresholds = thresholds;
             }
             if let Some((line, token)) = table.take_str("estimator")? {
                 run.estimator = token
@@ -1343,29 +1462,9 @@ impl ExperimentSpec {
                 run.backend = token
                     .parse()
                     .map_err(|e: UnknownToken| SpecError::new(line, e.to_string()))?;
-                backend_line = Some(line);
+                backend_line = line;
             }
-            if let Some((line, items)) = table.take_array("splitting_levels")? {
-                let levels = items
-                    .iter()
-                    .map(|item| match item {
-                        SpecValue::Int(i) => u64::try_from(*i).map_err(|_| {
-                            SpecError::new(
-                                line,
-                                "`splitting_levels` entries must be unsigned integers",
-                            )
-                        }),
-                        other => Err(SpecError::new(
-                            line,
-                            format!(
-                                "`splitting_levels` entries must be integers, got a {}",
-                                other.type_name()
-                            ),
-                        )),
-                    })
-                    .collect::<Result<_, _>>()?;
-                run.splitting.levels = Some(levels);
-            }
+            run.splitting.levels = table.take_u64_list("splitting_levels")?;
             if let Some((line, effort)) = table.take_u64("splitting_effort")? {
                 if effort == 0 {
                     return Err(SpecError::new(
@@ -1514,20 +1613,7 @@ impl ExperimentSpec {
             let (strategy_line, token) = table
                 .take_str("strategy")?
                 .ok_or_else(|| SpecError::new(phase_line, "[[phase]] needs `strategy`"))?;
-            let strategy = parse_strategy(&token).ok_or_else(|| {
-                SpecError::new(strategy_line, format!("unknown strategy `{token}`"))
-            })?;
-            if let StrategyKind::Composed(i) = strategy {
-                if i >= compositions.len() {
-                    return Err(SpecError::new(
-                        strategy_line,
-                        format!(
-                            "`composed({i})` indexes past the composition table (len {})",
-                            compositions.len()
-                        ),
-                    ));
-                }
-            }
+            let strategy = decode_strategy(strategy_line, &token, compositions.len())?;
             let (regime_line, token) = table
                 .take_str("regime")?
                 .ok_or_else(|| SpecError::new(phase_line, "[[phase]] needs `regime`"))?;
@@ -1576,20 +1662,7 @@ impl ExperimentSpec {
                 let (strategy_line, token) = table
                     .take_str("strategy")?
                     .ok_or_else(|| SpecError::new(line, "[stationary] needs `strategy`"))?;
-                let strategy = parse_strategy(&token).ok_or_else(|| {
-                    SpecError::new(strategy_line, format!("unknown strategy `{token}`"))
-                })?;
-                if let StrategyKind::Composed(i) = strategy {
-                    if i >= compositions.len() {
-                        return Err(SpecError::new(
-                            strategy_line,
-                            format!(
-                                "`composed({i})` indexes past the composition table (len {})",
-                                compositions.len()
-                            ),
-                        ));
-                    }
-                }
+                let strategy = decode_strategy(strategy_line, &token, compositions.len())?;
                 let (rounds_line, rounds) = table
                     .take_u64("rounds")?
                     .ok_or_else(|| SpecError::new(line, "[stationary] needs `rounds`"))?;
@@ -1616,33 +1689,6 @@ impl ExperimentSpec {
                 ))
             }
         };
-
-        // Positioned rejection of the markov backend outside its
-        // tractable regime (validate() re-checks the same conditions
-        // without positions for patched specs).
-        if run.backend == BackendKind::Markov {
-            let line = backend_line.unwrap_or(0);
-            match &mode {
-                ExperimentMode::Scenario(_) => {
-                    return Err(SpecError::new(
-                        line,
-                        "`backend = \"markov\"` needs a [stationary] table; scenario cells only support `backend = \"montecarlo\"`",
-                    ))
-                }
-                ExperimentMode::Stationary { strategy, .. }
-                    if !matches!(strategy, StrategyKind::PrivateChain) =>
-                {
-                    return Err(SpecError::new(
-                        line,
-                        format!(
-                            "`backend = \"markov\"` models the private-chain race; strategy `{}` needs `backend = \"montecarlo\"`",
-                            strategy_token(*strategy)
-                        ),
-                    ))
-                }
-                ExperimentMode::Stationary { .. } => {}
-            }
-        }
 
         // [sweep]
         let sweep = match root.take_table("sweep")? {
@@ -1718,13 +1764,17 @@ impl ExperimentSpec {
             sweep,
             fuzz,
         };
+        // The markov backend's own checks, positioned at its key.
+        if spec.run.backend == BackendKind::Markov {
+            ExactPlan::from_spec(&spec).map_err(|e| SpecError::new(backend_line, e.message))?;
+        }
         spec.validate()?;
         Ok(spec)
     }
 
-    /// Re-checks the semantic invariants (used after programmatic
-    /// mutation or sweep patching; [`ExperimentSpec::parse`] reports
-    /// the same conditions with source positions).
+    /// Re-checks the semantic invariants after programmatic mutation,
+    /// such as a harness's budget overrides ([`ExperimentSpec::parse`]
+    /// reports the same conditions with source positions).
     ///
     /// # Errors
     ///
@@ -1835,60 +1885,51 @@ impl ExperimentSpec {
         }
     }
 
-    /// The sweep grid's shape (cells per axis, outermost first); empty
-    /// for a sweep-free spec.
-    #[must_use]
-    pub fn sweep_shape(&self) -> Vec<usize> {
-        self.sweep
-            .as_ref()
-            .map(|s| s.axes.iter().map(|a| a.cells.len()).collect())
-            .unwrap_or_default()
-    }
-
     /// Expands the sweep grid into concrete cells, in odometer order
-    /// (last axis fastest). Each cell's spec has its patches applied,
-    /// its master seed drawn from the sweep's SplitMix64 stream, and
-    /// `sweep`/`fuzz` cleared. A sweep-free spec yields one unlabelled
+    /// (last axis fastest). The sweep-free base spec is serialized once
+    /// with [`ExperimentSpec::to_toml`]; each cell writes its patches
+    /// into a copy of that document and decodes it exactly as
+    /// [`ExperimentSpec::parse`] decodes a hand-written one, then takes
+    /// its master seed from the sweep's SplitMix64 stream. `sweep` and
+    /// `fuzz` are cleared. A sweep-free spec yields one unlabelled
     /// cell.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] if a patch path is unknown or a patched
-    /// cell fails validation.
+    /// Returns [`SpecError`] naming the cell if a patch path is unknown
+    /// or a patched cell fails to decode.
     pub fn expand(&self) -> Result<Vec<ExperimentCell>, SpecError> {
-        let Some(sweep) = &self.sweep else {
-            let mut spec = self.clone();
-            spec.fuzz = None;
+        let mut base = self.clone();
+        base.fuzz = None;
+        let Some(sweep) = base.sweep.take() else {
             return Ok(vec![ExperimentCell {
                 labels: Vec::new(),
-                spec,
+                spec: base,
             }]);
         };
-        let shape: Vec<usize> = sweep.axes.iter().map(|a| a.cells.len()).collect();
+        let document = parse_document(&base.to_toml())?;
         let mut seeds = SplitMix64::new(sweep.seed);
         let mut cells = Vec::new();
-        let mut idx = vec![0usize; shape.len()];
+        let mut idx = vec![0usize; sweep.axes.len()];
         loop {
-            let mut spec = self.clone();
-            spec.sweep = None;
-            spec.fuzz = None;
-            let mut labels = Vec::with_capacity(idx.len());
-            for (axis, &i) in sweep.axes.iter().zip(&idx) {
-                let cell = &axis.cells[i];
-                labels.push(cell.label.clone());
-                for (path, value) in &cell.patches {
-                    spec.apply_patch(path, value).map_err(|e| {
-                        SpecError::new(
-                            e.line,
-                            format!("sweep cell `{}`: {}", cell.label, e.message),
-                        )
-                    })?;
-                }
-            }
-            spec.base.seed = seeds.next_u64();
-            spec.validate().map_err(|e| {
+            let picked: Vec<&SweepCell> = sweep
+                .axes
+                .iter()
+                .zip(&idx)
+                .map(|(a, &i)| &a.cells[i])
+                .collect();
+            let labels: Vec<String> = picked.iter().map(|cell| cell.label.clone()).collect();
+            // Line numbers of the re-serialized document mean nothing
+            // to the author of the sweep, so errors name the cell.
+            let in_cell = |e: SpecError| {
                 SpecError::whole(format!("sweep cell `{}`: {}", labels.join("/"), e.message))
-            })?;
+            };
+            let mut doc = document.clone();
+            for (path, value) in picked.iter().flat_map(|cell| &cell.patches) {
+                set_path(&mut doc, path, value.clone()).map_err(in_cell)?;
+            }
+            let mut spec = Self::decode(doc).map_err(in_cell)?;
+            spec.base.seed = seeds.next_u64();
             cells.push(ExperimentCell { labels, spec });
 
             // Odometer increment, last axis fastest.
@@ -1899,7 +1940,7 @@ impl ExperimentSpec {
                 }
                 axis -= 1;
                 idx[axis] += 1;
-                if idx[axis] < shape[axis] {
+                if idx[axis] < sweep.axes[axis].cells.len() {
                     break;
                 }
                 idx[axis] = 0;
@@ -1907,231 +1948,10 @@ impl ExperimentSpec {
         }
     }
 
-    /// Applies one dotted-path patch (`base.adversary_fraction`,
-    /// `phase.1.strategy`, `composition.0.weights`,
-    /// `stationary.strategy`, `experiment.trials`, …) to this spec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError`] (line 0) for unknown paths or
-    /// type-mismatched values.
-    pub fn apply_patch(&mut self, path: &str, value: &SpecValue) -> Result<(), SpecError> {
-        let segments: Vec<&str> = path.split('.').collect();
-        let bad_path = || SpecError::whole(format!("unknown patch path `{path}`"));
-        let bad_value = |want: &str| {
-            SpecError::whole(format!(
-                "patch `{path}` needs a {want}, got a {}",
-                value.type_name()
-            ))
-        };
-        match segments.as_slice() {
-            ["base", field] => {
-                match *field {
-                    "n_miners" => {
-                        self.base.n_miners =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?
-                    }
-                    "delta" => {
-                        self.base.delta =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?
-                    }
-                    "seed" => {
-                        self.base.seed =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?
-                    }
-                    "adversary_fraction" => {
-                        self.base.adversary_fraction =
-                            value_as_f64(value).ok_or_else(|| bad_value("number"))?;
-                    }
-                    "hardness" => {
-                        self.base.hardness =
-                            value_as_f64(value).ok_or_else(|| bad_value("number"))?;
-                    }
-                    #[allow(clippy::cast_precision_loss)]
-                    "c" => {
-                        let c = value_as_f64(value).ok_or_else(|| bad_value("number"))?;
-                        if !(c > 0.0) || c.is_nan() {
-                            return Err(SpecError::whole(format!(
-                                "patch `{path}`: c must be positive, got {c}"
-                            )));
-                        }
-                        self.base.hardness =
-                            1.0 / (c * self.base.n_miners as f64 * self.base.delta as f64);
-                    }
-                    _ => return Err(bad_path()),
-                }
-                Ok(())
-            }
-            ["experiment", "trials"] => {
-                let trials = patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                self.run.trials = trials;
-                Ok(())
-            }
-            ["experiment", "estimator"] => {
-                let SpecValue::Str(token) = value else {
-                    return Err(bad_value("estimator string"));
-                };
-                self.run.estimator = token
-                    .parse()
-                    .map_err(|e: UnknownToken| SpecError::whole(format!("patch `{path}`: {e}")))?;
-                Ok(())
-            }
-            ["experiment", "backend"] => {
-                let SpecValue::Str(token) = value else {
-                    return Err(bad_value("backend string"));
-                };
-                self.run.backend = token
-                    .parse()
-                    .map_err(|e: UnknownToken| SpecError::whole(format!("patch `{path}`: {e}")))?;
-                Ok(())
-            }
-            ["experiment", "splitting_effort"] => {
-                self.run.splitting.effort =
-                    patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                Ok(())
-            }
-            ["experiment", "stop_half_width"] => {
-                self.run.stop_half_width =
-                    Some(value_as_f64(value).ok_or_else(|| bad_value("number"))?);
-                Ok(())
-            }
-            ["experiment", "splitting_levels"] => {
-                let SpecValue::Array(items) = value else {
-                    return Err(bad_value("array of integers"));
-                };
-                let levels = items
-                    .iter()
-                    .map(|item| patch_u64(item).ok_or_else(|| bad_value("array of integers")))
-                    .collect::<Result<_, _>>()?;
-                self.run.splitting.levels = Some(levels);
-                Ok(())
-            }
-            ["stationary", field] => {
-                let ExperimentMode::Stationary { strategy, rounds } = &mut self.mode else {
-                    return Err(SpecError::whole(format!(
-                        "patch `{path}` needs a [stationary] spec"
-                    )));
-                };
-                match *field {
-                    "strategy" => {
-                        let SpecValue::Str(token) = value else {
-                            return Err(bad_value("strategy string"));
-                        };
-                        *strategy = parse_strategy(token).ok_or_else(|| {
-                            SpecError::whole(format!("patch `{path}`: unknown strategy `{token}`"))
-                        })?;
-                    }
-                    "rounds" => {
-                        *rounds =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                    }
-                    _ => return Err(bad_path()),
-                }
-                Ok(())
-            }
-            ["phase", index, field] => {
-                let i: usize = index.parse().map_err(|_| bad_path())?;
-                let ExperimentMode::Scenario(phases) = &mut self.mode else {
-                    return Err(SpecError::whole(format!(
-                        "patch `{path}` needs [[phase]] tables"
-                    )));
-                };
-                let phase = phases.get_mut(i).ok_or_else(|| {
-                    SpecError::whole(format!("patch `{path}`: phase index {i} out of range"))
-                })?;
-                match *field {
-                    "rounds" => {
-                        phase.rounds =
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?;
-                    }
-                    "strategy" => {
-                        let SpecValue::Str(token) = value else {
-                            return Err(bad_value("strategy string"));
-                        };
-                        phase.strategy = parse_strategy(token).ok_or_else(|| {
-                            SpecError::whole(format!("patch `{path}`: unknown strategy `{token}`"))
-                        })?;
-                    }
-                    "regime" => {
-                        let SpecValue::Str(token) = value else {
-                            return Err(bad_value("regime string"));
-                        };
-                        phase.regime = parse_regime(token).ok_or_else(|| {
-                            SpecError::whole(format!("patch `{path}`: unknown regime `{token}`"))
-                        })?;
-                    }
-                    "adversary_fraction" => {
-                        phase.adversary_fraction =
-                            Some(value_as_f64(value).ok_or_else(|| bad_value("number"))?);
-                    }
-                    "hardness" => {
-                        phase.hardness =
-                            Some(value_as_f64(value).ok_or_else(|| bad_value("number"))?);
-                    }
-                    "detector_delta" => {
-                        phase.detector_delta = Some(
-                            patch_u64(value).ok_or_else(|| bad_value("non-negative integer"))?,
-                        );
-                    }
-                    _ => return Err(bad_path()),
-                }
-                Ok(())
-            }
-            ["composition", index, field] => {
-                let i: usize = index.parse().map_err(|_| bad_path())?;
-                let composition = self.compositions.get(i).ok_or_else(|| {
-                    SpecError::whole(format!(
-                        "patch `{path}`: composition index {i} out of range"
-                    ))
-                })?;
-                let mut subs = composition.subs().to_vec();
-                let SpecValue::Array(items) = value else {
-                    return Err(bad_value("array"));
-                };
-                if items.len() != subs.len() {
-                    return Err(SpecError::whole(format!(
-                        "patch `{path}`: {} entries for {} subs",
-                        items.len(),
-                        subs.len()
-                    )));
-                }
-                match *field {
-                    "weights" => {
-                        for (sub, item) in subs.iter_mut().zip(items) {
-                            sub.weight =
-                                patch_u64(item).ok_or_else(|| bad_value("array of integers"))?;
-                        }
-                    }
-                    "strategies" => {
-                        for (sub, item) in subs.iter_mut().zip(items) {
-                            let SpecValue::Str(token) = item else {
-                                return Err(bad_value("array of strategy strings"));
-                            };
-                            let strategy = parse_strategy(token).ok_or_else(|| {
-                                SpecError::whole(format!(
-                                    "patch `{path}`: unknown strategy `{token}`"
-                                ))
-                            })?;
-                            if matches!(strategy, StrategyKind::Composed(_)) {
-                                return Err(SpecError::whole(format!(
-                                    "patch `{path}`: compositions cannot nest `composed(i)`"
-                                )));
-                            }
-                            sub.strategy = strategy;
-                        }
-                    }
-                    _ => return Err(bad_path()),
-                }
-                self.compositions[i] = Composition::new(subs)
-                    .map_err(|e| SpecError::whole(format!("patch `{path}`: {e}")))?;
-                Ok(())
-            }
-            _ => Err(bad_path()),
-        }
-    }
-
     /// Serializes the spec into its canonical TOML document;
     /// [`ExperimentSpec::parse`] of the output yields an equal spec.
+    /// [`ExperimentSpec::expand`] builds every sweep cell from this
+    /// document, so the round trip must be exact.
     #[must_use]
     pub fn to_toml(&self) -> String {
         let mut out = String::new();
@@ -2253,13 +2073,6 @@ impl ExperimentSpec {
             }
         }
         out
-    }
-}
-
-fn patch_u64(value: &SpecValue) -> Option<u64> {
-    match value {
-        SpecValue::Int(i) => u64::try_from(*i).ok(),
-        _ => None,
     }
 }
 
@@ -2483,27 +2296,76 @@ mod tests {
         assert!(err.to_string().contains("past the largest"), "{err}");
     }
 
+    /// `source` with a one-axis `[sweep]` whose cells carry the given
+    /// inline `patch` tables, as `(label, "{ … }")` pairs.
+    fn with_sweep(source: &str, cells: &[(&str, &str)]) -> String {
+        let mut out = format!("{source}\n[sweep]\nseed = 5\n\n[[sweep.axis]]\nlabel = \"axis\"\n");
+        for (label, patch) in cells {
+            out.push_str(&format!(
+                "\n[[sweep.axis.cell]]\nlabel = \"{label}\"\npatch = {patch}\n"
+            ));
+        }
+        out
+    }
+
+    /// The spec of the single cell `source` gets with `patch` applied.
+    fn patched(source: &str, patch: &str) -> Result<ExperimentSpec, SpecError> {
+        let spec = ExperimentSpec::parse(&with_sweep(source, &[("cell", patch)])).unwrap();
+        Ok(spec.expand()?.remove(0).spec)
+    }
+
     #[test]
     fn patches_reach_splitting_settings() {
-        let mut spec = ExperimentSpec::parse(STATIONARY_SPEC).unwrap();
-        spec.apply_patch("experiment.estimator", &SpecValue::Str("splitting".into()))
-            .unwrap();
-        spec.apply_patch("experiment.splitting_effort", &SpecValue::Int(32))
-            .unwrap();
-        spec.apply_patch(
-            "experiment.splitting_levels",
-            &SpecValue::Array(vec![SpecValue::Int(3), SpecValue::Int(7)]),
+        let spec = patched(
+            STATIONARY_SPEC,
+            r#"{ "experiment.estimator" = "splitting", "experiment.splitting_effort" = 32, "experiment.splitting_levels" = [3, 7] }"#,
         )
         .unwrap();
         assert_eq!(spec.run.estimator, EstimatorKind::Splitting);
         assert_eq!(spec.run.splitting.effort, 32);
         assert_eq!(spec.run.splitting.levels, Some(vec![3, 7]));
-        spec.validate().unwrap();
 
-        let err = spec
-            .apply_patch("experiment.estimator", &SpecValue::Str("guess".into()))
-            .unwrap_err();
+        let err = patched(STATIONARY_SPEC, r#"{ "experiment.estimator" = "guess" }"#).unwrap_err();
         assert!(err.to_string().contains("unknown estimator"), "{err}");
+    }
+
+    #[test]
+    fn cell_patches_get_the_decoders_range_checks() {
+        let source = with_sweep(
+            SPLITTING_SPEC,
+            &[
+                ("ok", r#"{ "experiment.splitting_effort" = 8 }"#),
+                ("zero", r#"{ "experiment.splitting_effort" = 0 }"#),
+            ],
+        );
+        let err = ExperimentSpec::parse(&source)
+            .unwrap()
+            .expand()
+            .unwrap_err();
+        assert_eq!(err.line, 0, "{err}");
+        assert!(err.message.starts_with("sweep cell `zero`: "), "{err}");
+        assert!(err.message.contains("must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn c_patches_use_the_cells_final_miner_count() {
+        for patch in [
+            r#"{ "base.c" = 2.0, "base.n_miners" = 120 }"#,
+            r#"{ "base.n_miners" = 120, "base.c" = 2.0 }"#,
+        ] {
+            let spec = patched(STATIONARY_SPEC, patch).unwrap();
+            assert_eq!(spec.base.n_miners, 120, "{patch}");
+            assert_eq!(spec.base.hardness, 1.0 / (2.0 * 120.0 * 4.0), "{patch}");
+        }
+        // `c` and `hardness` replace each other: the last write wins.
+        let spec = patched(
+            STATIONARY_SPEC,
+            r#"{ "base.c" = 2.0, "base.hardness" = 0.001 }"#,
+        )
+        .unwrap();
+        assert_eq!(spec.base.hardness, 0.001);
+        let err = patched(STATIONARY_SPEC, r#"{ "base.c" = -1.0 }"#).unwrap_err();
+        assert!(err.message.contains("`c` must be positive"), "{err}");
     }
 
     #[test]
@@ -2906,7 +2768,6 @@ mod tests {
     fn sweep_expands_in_odometer_order_with_disjoint_seeds() {
         let source = "[experiment]\ntrials = 1\n\n[base]\nn_miners = 100\ndelta = 4\nc = 1.0\nadversary_fraction = 0.1\nseed = 0\n\n[stationary]\nstrategy = \"private-chain\"\nrounds = 50\n\n[sweep]\nseed = 99\n\n[[sweep.axis]]\nlabel = \"nu\"\n\n[[sweep.axis.cell]]\nlabel = \"lo\"\npatch = { \"base.adversary_fraction\" = 0.1 }\n\n[[sweep.axis.cell]]\nlabel = \"hi\"\npatch = { \"base.adversary_fraction\" = 0.4 }\n\n[[sweep.axis]]\nlabel = \"strategy\"\n\n[[sweep.axis.cell]]\nlabel = \"private\"\npatch = { \"stationary.strategy\" = \"private-chain\" }\n\n[[sweep.axis.cell]]\nlabel = \"balance\"\npatch = { \"stationary.strategy\" = \"balance\" }\n";
         let spec = ExperimentSpec::parse(source).unwrap();
-        assert_eq!(spec.sweep_shape(), vec![2, 2]);
         let cells = spec.expand().unwrap();
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].labels, vec!["lo", "private"]);
@@ -2930,38 +2791,46 @@ mod tests {
 
     #[test]
     fn composition_patches_rebuild_validated_compositions() {
-        let mut spec = ExperimentSpec::parse(SCENARIO_SPEC).unwrap();
-        spec.apply_patch(
-            "composition.0.weights",
-            &SpecValue::Array(vec![SpecValue::Int(3), SpecValue::Int(1)]),
+        let spec = patched(
+            SCENARIO_SPEC,
+            r#"{ "composition.0.weights" = [3, 1], "composition.0.strategies" = ["private-chain", "selfish"] }"#,
         )
         .unwrap();
-        assert_eq!(spec.compositions[0].subs()[0].weight, 3);
-        spec.apply_patch(
-            "composition.0.strategies",
-            &SpecValue::Array(vec![
-                SpecValue::Str("private-chain".into()),
-                SpecValue::Str("selfish".into()),
-            ]),
-        )
-        .unwrap();
-        assert_eq!(
-            spec.compositions[0].subs()[0].strategy,
-            StrategyKind::PrivateChain
-        );
+        let subs = spec.compositions[0].subs();
+        assert_eq!((subs[0].weight, subs[1].weight), (3, 1));
+        assert_eq!(subs[0].strategy, StrategyKind::PrivateChain);
+        assert_eq!(subs[1].strategy, StrategyKind::Selfish);
         // All-zero weights are rejected by Composition::new.
-        let err = spec
-            .apply_patch(
-                "composition.0.weights",
-                &SpecValue::Array(vec![SpecValue::Int(0), SpecValue::Int(0)]),
-            )
-            .unwrap_err();
+        let err = patched(SCENARIO_SPEC, r#"{ "composition.0.weights" = [0, 0] }"#).unwrap_err();
+        assert!(err.message.starts_with("sweep cell `cell`: "), "{err}");
+        assert!(err.message.contains("positive total weight"), "{err}");
+        // A column carries one item per sub.
+        let err = patched(SCENARIO_SPEC, r#"{ "composition.0.weights" = [1] }"#).unwrap_err();
         assert!(err.message.contains("composition.0.weights"), "{err}");
-        // Unknown paths are named.
-        let err = spec
-            .apply_patch("base.bogus", &SpecValue::Int(1))
-            .unwrap_err();
-        assert!(err.message.contains("base.bogus"), "{err}");
+        // Unknown keys are named by the decoder, unknown paths by the
+        // patcher.
+        let err = patched(SCENARIO_SPEC, r#"{ "base.bogus" = 1 }"#).unwrap_err();
+        assert!(
+            err.message.contains("unknown key `bogus` in [base]"),
+            "{err}"
+        );
+        for path in [
+            "bogus.key",
+            "base",
+            "phase.3.rounds",
+            "phase.x.rounds",
+            "phase.rounds",
+            "composition.1.weights",
+            "stationary.rounds",
+            "base.c.x",
+        ] {
+            let err = patched(SCENARIO_SPEC, &format!("{{ \"{path}\" = 1 }}")).unwrap_err();
+            assert!(
+                err.message
+                    .contains(&format!("unknown patch path `{path}`")),
+                "{path}: {err}"
+            );
+        }
     }
 
     const MARKOV_SPEC: &str = r#"
@@ -3011,19 +2880,15 @@ mod tests {
         assert_eq!(spec, reparsed);
 
         // The backend is sweep-patchable in both directions.
-        let mut patched = spec.clone();
-        patched
-            .apply_patch("experiment.backend", &SpecValue::Str("montecarlo".into()))
-            .unwrap();
-        assert_eq!(patched.run.backend, BackendKind::MonteCarlo);
-        patched
-            .apply_patch("experiment.backend", &SpecValue::Str("markov".into()))
-            .unwrap();
-        assert_eq!(patched.run.backend, BackendKind::Markov);
-        patched.validate().unwrap();
-        let err = patched
-            .apply_patch("experiment.backend", &SpecValue::Str("quantum".into()))
-            .unwrap_err();
+        let sampled = patched(MARKOV_SPEC, r#"{ "experiment.backend" = "montecarlo" }"#).unwrap();
+        assert_eq!(sampled.run.backend, BackendKind::MonteCarlo);
+        let exact = patched(
+            &MARKOV_SPEC.replace("backend = \"markov\"", ""),
+            r#"{ "experiment.backend" = "markov" }"#,
+        )
+        .unwrap();
+        assert_eq!(exact.run.backend, BackendKind::Markov);
+        let err = patched(MARKOV_SPEC, r#"{ "experiment.backend" = "quantum" }"#).unwrap_err();
         assert!(err.to_string().contains("unknown backend"), "{err}");
     }
 
